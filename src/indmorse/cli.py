@@ -46,8 +46,9 @@ from .homotopy import (
     check_domination_bound,
     classify,
     consistency_with_homology,
+    homotopy_from_counts,
 )
-from .matching import check_acyclic, check_matching, critical_simplices
+from .matching import check_field
 from .morse import (
     ConstructionResult,
     build_auto,
@@ -163,17 +164,6 @@ def _build(g: Graph, driver: str) -> ConstructionResult:
     return build_auto(g)
 
 
-def _homotopy_from_counts(fvec: tuple[int, ...]) -> HomotopyType:
-    # Valid for the chordal and grid drivers, whose matchings satisfy the
-    # maximality hypothesis; callers must not use it elsewhere.
-    if sum(fvec) == 1:
-        return HomotopyType("collapsible")
-    counts = [fvec[0] - 1] + list(fvec[1:])
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return HomotopyType("wedge", tuple(counts))
-
-
 def _pad(seq, length: int) -> list[int]:
     return list(seq) + [0] * (length - len(seq))
 
@@ -266,7 +256,7 @@ def cmd_analyze(args) -> int:
         report["driver"] = args.driver
         report["critical_f"] = list(fvec)
         if args.driver == "grid" or is_chordal(g):
-            h = _homotopy_from_counts(fvec)
+            h = homotopy_from_counts(fvec)
             report["homotopy"] = _homotopy_json(h)
 
     if args.oracle:
@@ -348,26 +338,24 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     x = independence_complex(g)
     pairs = _load_pairs(args.matching, g.n)
-    ok, message = check_matching(x, pairs)
-    if not ok:
-        _emit({"ok": False, "error": message}, args)
+    cert = check_field(x, pairs)
+    if cert.error is not None:
+        _emit({"ok": False, "error": cert.error}, args)
         return 1
-    acyclic, cycle = check_acyclic(x, pairs)
-    if not acyclic:
+    if cert.cycle is not None:
         _emit(
             {
                 "ok": False,
                 "error": "matching has a directed cycle",
-                "cycle": [_verts(s) for s in cycle],
+                "cycle": [_verts(s) for s in cert.cycle],
             },
             args,
         )
         return 1
-    critical, fvec = critical_simplices(x, pairs)
     by_dim: dict[str, list[list[int]]] = {}
-    for s in sorted(critical, key=lambda s: (s.bit_count(), s)):
+    for s in sorted(cert.critical, key=lambda s: (s.bit_count(), s)):
         by_dim.setdefault(str(s.bit_count() - 1), []).append(_verts(s))
-    _emit({"ok": True, "critical_f": list(fvec), "critical": by_dim}, args)
+    _emit({"ok": True, "critical_f": list(cert.critical_f), "critical": by_dim}, args)
     return 0
 
 

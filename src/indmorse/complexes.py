@@ -9,7 +9,6 @@ away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .graph_core import EXPLICIT_VERTEX_CAP, CapabilityError, Graph, bits
 
@@ -48,21 +47,22 @@ class SimplicialComplex:
         return sorted(s for s in self.faces if s.bit_count() == d + 1)
 
 
-def _independent_sets(adj: tuple[int, ...], mask: int) -> Iterator[int]:
-    """All independent subsets of ``mask``, branching on the highest vertex.
+def _independent_sets(adj: tuple[int, ...], mask: int) -> list[int]:
+    """All independent subsets of ``mask``, one vertex at a time.
 
-    The highest vertex is either excluded, or included with all of its
-    neighbors excluded.
+    Vertices are added in increasing order; each one extends every set so
+    far that avoids its neighbors.  The order equals that of branching on
+    the highest vertex (exclude it first, then include it with its
+    neighbors excluded), so pair lists built from it keep their order.
     """
-    if mask == 0:
-        yield 0
-        return
-    v = mask.bit_length() - 1
-    rest = mask & ~(1 << v)
-    yield from _independent_sets(adj, rest)
-    bit = 1 << v
-    for s in _independent_sets(adj, rest & ~adj[v]):
-        yield s | bit
+    out = [0]
+    rest = mask
+    while rest:
+        low = rest & -rest
+        nbrs = adj[low.bit_length() - 1]
+        out += [s | low for s in out if not s & nbrs]
+        rest ^= low
+    return out
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from .complexes import SimplicialComplex, is_maximal
 from .graph_core import Graph, domination_number
 from .homology import HomologyProfile
-from .matching import (
-    critical_simplices,
-    generalized_vpath_reachable,
-    verify_acyclic,
-    verify_matching,
-)
+from .matching import check_field, generalized_vpath_reachable
 from .morse import ConstructionResult
 
 
@@ -49,13 +44,24 @@ def _wedge(counts: list[int]) -> HomotopyType:
     return HomotopyType("wedge", tuple(trimmed))
 
 
+def homotopy_from_counts(fvec: tuple[int, ...]) -> HomotopyType:
+    """The type of a complex whose acyclic matching has critical f-vector
+    fvec and only maximal critical simplices, but for at most one 0-simplex:
+    collapsible for a single critical cell, else one sphere per critical
+    cell with one 0-simplex taken as the base point."""
+    if sum(fvec) == 1:
+        return HomotopyType("collapsible")
+    return _wedge([fvec[0] - 1] + list(fvec[1:]))
+
+
 def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     """Classify the homotopy type read off an acyclic matching on x."""
-    if not verify_matching(x, result.pairs):
+    cert = check_field(x, result.pairs)
+    if cert.error is not None:
         raise ValueError("pairs do not form a matching on this complex")
-    if not verify_acyclic(x, result.pairs):
+    if cert.cycle is not None:
         raise ValueError("matching is not acyclic")
-    critical, fvec = critical_simplices(x, result.pairs)
+    critical, fvec = cert.critical, cert.critical_f
     if critical != result.critical_set or fvec != result.critical_f:
         raise ValueError("result does not describe its own matching")
     total = sum(fvec)
@@ -66,10 +72,7 @@ def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     if not non_maximal or (
         len(non_maximal) == 1 and non_maximal[0].bit_count() == 1
     ):
-        if total == 1:
-            return HomotopyType("collapsible")
-        counts = [fvec[0] - 1] + list(fvec[1:])
-        return _wedge(counts)
+        return homotopy_from_counts(fvec)
 
     if len(fvec) >= 2 and fvec[0] == 1 and all(c == 0 for c in fvec[1:-1]):
         return _wedge([0] * (len(fvec) - 1) + [fvec[-1]])

@@ -9,6 +9,7 @@ simplex.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex
@@ -52,17 +53,13 @@ def verify_matching(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
     return ok
 
 
-def check_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]):
-    """Cycle search on the matching; returns (ok, cycle) with cycle None when acyclic.
+def _alternating_cycle(up: dict[int, int]) -> list[int] | None:
+    """Layered cycle search on the upward pair map; None when acyclic.
 
     Reversed-edge cycles can only alternate between two consecutive
     dimensions, so each (d, d+1) layer is checked independently.  A reported
     cycle is the alternating simplex sequence [a0, b0, a1, ..., a0].
     """
-    ok, message = check_matching(x, pairs)
-    if not ok:
-        raise ValueError(message)
-    up, _ = _pair_maps(pairs)
     by_layer: dict[int, list[int]] = {}
     for a in up:
         by_layer.setdefault(a.bit_count(), []).append(a)
@@ -72,10 +69,13 @@ def check_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]):
         for a in members:
             b = up[a]
             nxt = []
-            for v in bits(b):
-                a2 = b & ~(1 << v)
+            rest = b
+            while rest:
+                low = rest & -rest
+                a2 = b ^ low
                 if a2 != a and a2 in up:
                     nxt.append(a2)
+                rest ^= low
             succ[a] = nxt
         # Iterative DFS with colors; a gray-to-gray edge closes a cycle.
         color: dict[int, int] = {}
@@ -100,7 +100,7 @@ def check_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]):
                         out = []
                         for a in cycle:
                             out.extend((a, up[a]))
-                        return False, out[: 2 * len(cycle) - 1]
+                        return out[: 2 * len(cycle) - 1]
                     if color.get(a2) is None:
                         color[a2] = 1
                         parent[a2] = node
@@ -110,13 +110,35 @@ def check_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]):
                 if not advanced:
                     color[node] = 2
                     stack.pop()
-    return True, None
+    return None
+
+
+def check_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]):
+    """Cycle search on the matching; returns (ok, cycle) with cycle None when acyclic.
+
+    A reported cycle is the alternating simplex sequence [a0, b0, a1, ..., a0].
+    """
+    ok, message = check_matching(x, pairs)
+    if not ok:
+        raise ValueError(message)
+    up, _ = _pair_maps(pairs)
+    cycle = _alternating_cycle(up)
+    return cycle is None, cycle
 
 
 def verify_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
     """True iff reversing the matched Hasse edges leaves the diagram acyclic."""
     ok, _ = check_acyclic(x, pairs)
     return ok
+
+
+def _critical_of(x: SimplicialComplex, up: dict[int, int], down: dict[int, int]):
+    crit = frozenset(
+        s
+        for s in x.faces
+        if s and (s not in up and (s not in down or down[s] == 0))
+    )
+    return crit, critical_fvector_of(crit)
 
 
 def critical_simplices(x: SimplicialComplex, pairs: Sequence[Pair]):
@@ -128,12 +150,45 @@ def critical_simplices(x: SimplicialComplex, pairs: Sequence[Pair]):
     if not ok:
         raise ValueError(message)
     up, down = _pair_maps(pairs)
-    crit = frozenset(
-        s
-        for s in x.faces
-        if s and (s not in up and (s not in down or down[s] == 0))
-    )
-    return crit, critical_fvector_of(crit)
+    return _critical_of(x, up, down)
+
+
+@dataclass(frozen=True)
+class FieldCertificate:
+    """Outcome of one validation pass over a matching (see check_field).
+
+    ``error`` is check_matching's message for an invalid matching; ``cycle``
+    is check_acyclic's alternating-cycle witness for a valid but cyclic one.
+    When both are None the field is an acyclic matching, and ``critical`` /
+    ``critical_f`` hold what critical_simplices would return.
+    """
+
+    error: str | None = None
+    cycle: list[int] | None = None
+    critical: frozenset[int] = frozenset()
+    critical_f: tuple[int, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None and self.cycle is None
+
+
+def check_field(x: SimplicialComplex, pairs: Sequence[Pair]) -> FieldCertificate:
+    """Validate a gradient field once: matching, acyclicity, critical data.
+
+    Equivalent to check_matching, then check_acyclic, then
+    critical_simplices, with the matching checked and the pair maps built
+    a single time.
+    """
+    ok, message = check_matching(x, pairs)
+    if not ok:
+        return FieldCertificate(error=message)
+    up, down = _pair_maps(pairs)
+    cycle = _alternating_cycle(up)
+    if cycle is not None:
+        return FieldCertificate(cycle=cycle)
+    crit, fvec = _critical_of(x, up, down)
+    return FieldCertificate(critical=crit, critical_f=fvec)
 
 
 def critical_fvector_of(critical: Iterable[int]) -> tuple[int, ...]:

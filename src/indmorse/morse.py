@@ -33,7 +33,7 @@ from .graph_core import (
     UnsupportedGraphError,
     bits,
 )
-from .matching import critical_fvector_of, verify_acyclic, verify_matching
+from .matching import check_field, critical_fvector_of
 
 Pair = tuple[int, int]
 
@@ -188,9 +188,7 @@ def extend_matching(
         if u not in sub:
             raise ValueError(f"missing sub-matching for neighbor {u}")
         x_u = SimplicialComplex(g.n, frozenset(_independent_sets(g.adj, mask_u)))
-        if not verify_matching(x_u, sub[u].pairs) or not verify_acyclic(
-            x_u, sub[u].pairs
-        ):
+        if not check_field(x_u, sub[u].pairs).ok:
             raise ValueError(f"sub-matching for neighbor {u} is invalid")
         checked[u] = sub[u]
     return _scoped_extend(g, full, v, checked, "extend")

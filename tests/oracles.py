@@ -21,6 +21,20 @@ def independent_set_masks(g: Graph) -> set[int]:
     return out
 
 
+def independent_sets_recursive(adj, mask: int):
+    """Independent subsets of ``mask`` by branching on the highest vertex:
+    exclude it first, then include it with its neighbors excluded.  This
+    fixes the order that the library's enumeration must reproduce."""
+    if mask == 0:
+        yield 0
+        return
+    v = mask.bit_length() - 1
+    rest = mask & ~(1 << v)
+    yield from independent_sets_recursive(adj, rest)
+    for s in independent_sets_recursive(adj, rest & ~adj[v]):
+        yield s | 1 << v
+
+
 def has_induced_long_cycle(g: Graph) -> bool:
     """True iff some vertex subset induces a cycle of length >= 4.
 

@@ -1,6 +1,7 @@
 """Independence complexes, f-vectors, Hasse edges, and the four-block partition."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from indmorse import (
     CapabilityError,
@@ -15,10 +16,11 @@ from indmorse import (
     partition_check,
     standard_graph,
 )
-from oracles import independent_set_masks
+from indmorse.complexes import _independent_sets
+from oracles import independent_set_masks, independent_sets_recursive
 
 from test_generators import small_specs
-from test_graph_core import all_graphs
+from test_graph_core import all_graphs, graphs
 
 K3 = standard_graph("complete", 3)
 P3 = standard_graph("path", 3)
@@ -34,6 +36,14 @@ def test_independence_complex_examples():
 def test_independence_complex_matches_subset_filter():
     for g in all_graphs(4):
         assert independence_complex(g).faces == frozenset(independent_set_masks(g))
+
+
+@given(graphs(9), st.integers(min_value=0, max_value=(1 << 9) - 1))
+def test_independent_sets_keep_the_branching_order(g, mask):
+    mask &= g.full_mask
+    got = _independent_sets(g.adj, mask)
+    assert got == list(independent_sets_recursive(g.adj, mask))
+    assert len(set(got)) == len(got)
 
 
 def test_independence_complex_vertex_cap():

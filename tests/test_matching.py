@@ -8,6 +8,7 @@ from indmorse import (
     extend_matching,
     build_chordal_matching,
     check_acyclic,
+    check_field,
     check_matching,
     critical_fvector_of,
     critical_simplices,
@@ -59,6 +60,8 @@ def test_triangle_rim_cyclic_field_is_rejected():
 def test_check_acyclic_reports_a_genuine_alternating_cycle():
     ok, cycle = check_acyclic(TRIANGLE_RIM, CYCLIC_FIELD)
     assert not ok
+    cert = check_field(TRIANGLE_RIM, CYCLIC_FIELD)
+    assert not cert.ok and cert.error is None and cert.cycle == cycle
     assert len(cycle) % 2 == 1 and cycle[0] == cycle[-1]
     up = dict(CYCLIC_FIELD)
     for k in range(0, len(cycle) - 1, 2):
@@ -71,6 +74,8 @@ def test_check_acyclic_reports_a_genuine_alternating_cycle():
 def test_check_acyclic_rejects_invalid_matchings():
     with pytest.raises(ValueError):
         check_acyclic(XP3, [(0b001, 0b001)])
+    cert = check_field(XP3, [(0b001, 0b001)])
+    assert not cert.ok and cert.error == check_matching(XP3, [(0b001, 0b001)])[1]
 
 
 def test_critical_simplices_examples():
@@ -150,6 +155,11 @@ def test_acyclicity_agrees_with_reachability_oracle():
             assert verify_matching(x, pairs)
             got = verify_acyclic(x, pairs)
             assert got == acyclic_by_reachability(x, pairs)
+            cert = check_field(x, pairs)
+            assert cert.ok == got and cert.error is None
+            assert cert.cycle == check_acyclic(x, pairs)[1]
+            if got:
+                assert (cert.critical, cert.critical_f) == critical_simplices(x, pairs)
             seen_cyclic += not got
             seen_acyclic += got
     assert seen_cyclic and seen_acyclic
