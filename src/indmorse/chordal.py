@@ -8,7 +8,7 @@ exists, so chordality reduces to running MCS and verifying its output.
 
 from __future__ import annotations
 
-from .graph_core import Graph, bits, is_clique
+from .graph_core import Graph, is_clique
 
 
 def _mcs_masked(adj: tuple[int, ...], mask: int) -> list[int]:
@@ -16,20 +16,39 @@ def _mcs_masked(adj: tuple[int, ...], mask: int) -> list[int]:
 
     Vertices are numbered from the back: the vertex picked first (highest
     weight, smallest id on ties) comes last in the returned order.
+
+    ``buckets[w]`` holds the unnumbered vertices of weight w (Tarjan &
+    Yannakakis, SIAM J. Comput. 1984).  A picked vertex of weight w moves
+    its unnumbered neighbors up one bucket by walking the levels w, w-1, ...
+    until none is left; every neighbor has weight at most w, and w is at
+    most the vertex's degree, so the whole search makes O(n + m) bucket
+    operations.
     """
     order: list[int] = []
-    weight = {v: 0 for v in bits(mask)}
+    # Weights stay below the vertex count, so bucket k + 1 always exists.
+    buckets = [mask] + [0] * mask.bit_count()
+    top = 0
     unnumbered = mask
     while unnumbered:
-        best = -1
-        best_w = -1
-        for v in bits(unnumbered):
-            if weight[v] > best_w:
-                best, best_w = v, weight[v]
-        order.append(best)
-        unnumbered &= ~(1 << best)
-        for w in bits(adj[best] & unnumbered):
-            weight[w] += 1
+        while not buckets[top]:
+            top -= 1
+        b = buckets[top]
+        low = b & -b
+        buckets[top] = b ^ low
+        unnumbered ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        nb = adj[v] & unnumbered
+        if nb:
+            k = top
+            top += 1
+            while nb:
+                hit = buckets[k] & nb
+                if hit:
+                    buckets[k] ^= hit
+                    buckets[k + 1] |= hit
+                    nb ^= hit
+                k -= 1
     order.reverse()
     return order
 

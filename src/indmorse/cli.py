@@ -135,7 +135,7 @@ def _homotopy_json(h: HomotopyType):
 def _graph_summary(g: Graph) -> dict:
     summary = {
         "vertices": g.n,
-        "edges": len(g.edges()),
+        "edges": sum(row.bit_count() for row in g.adj) // 2,
         "chordal": is_chordal(g),
     }
     if g.labels is not None:
@@ -221,6 +221,7 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     timings: dict[str, float] = {}
     report: dict = {"graph": _graph_summary(g), "mode": args.mode}
+    chordal = report["graph"]["chordal"]
     if args.seed is not None:
         report["seed"] = args.seed
     failed = False
@@ -249,13 +250,13 @@ def cmd_analyze(args) -> int:
                     for (i, j), entry in sorted(table.table.items())
                 }
         else:
-            if args.driver == "chordal" and not is_chordal(g):
+            if args.driver == "chordal" and not chordal:
                 raise ValueError("graph is not chordal")
             fvec = critical_fvector_recursive(g)
         timings["build_s"] = round(time.perf_counter() - started, 6)
         report["driver"] = args.driver
         report["critical_f"] = list(fvec)
-        if args.driver == "grid" or is_chordal(g):
+        if args.driver == "grid" or chordal:
             h = homotopy_from_counts(fvec)
             report["homotopy"] = _homotopy_json(h)
 
@@ -381,7 +382,7 @@ def cmd_compare(args) -> int:
     if spec is not None:
         result = build_grid_matching(g, spec)
         report["grid_f"] = list(grid_critical_fvector(spec))
-    elif is_chordal(g):
+    elif report["graph"]["chordal"]:
         result = build_chordal_matching(g)
     else:
         result = build_auto(g)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .generators import GridSpec
-from .graph_core import Graph, UnsupportedGraphError, bits
+from .graph_core import Graph, bits
+from .morse import _select_auto
 
 
 def _trim(counts: list[int]) -> tuple[int, ...]:
@@ -25,66 +26,50 @@ def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
 
     Base cases: an empty vertex set gives the empty vector, a subgraph with
     an isolated vertex gives (1,), a complete subgraph on c vertices gives
-    (c,).  Otherwise, with v the smallest simplicial vertex, k universal
+    (c,).  Otherwise, with v the smallest simplicial vertex (the generic
+    driver's selection, shared with build_auto), k universal
     vertices and children G - N[u] over u in N(v):
 
       f_0 = 1 + k
       f_1 = sum_u f_0(child_u) - (deg(v) - k)
       f_t = sum_u f_{t-1}(child_u)      for t >= 2.
+
+    The recursion runs on an explicit stack, so its depth is not bounded by
+    the interpreter's; subgraphs are visited in the same pre-order as a
+    recursive evaluation, so the first one without a simplicial vertex is
+    the one reported.
     """
-    memo: dict[int, tuple[int, ...]] = {}
-
-    def rec(mask: int) -> tuple[int, ...]:
+    memo: dict[int, tuple[int, ...]] = {0: ()}
+    # (mask, None) selects for mask; (mask, child_masks) combines its children.
+    stack: list[tuple[int, list[int] | None]] = [(g.full_mask, None)]
+    while stack:
+        mask, child_masks = stack.pop()
+        if child_masks is not None:
+            memo[mask] = _combine([memo[c] for c in child_masks])
+            continue
         if mask in memo:
-            return memo[mask]
-        out = _node_counts(g, mask, rec)
-        memo[mask] = out
-        return out
+            continue
+        rule, v = _select_auto(g, mask)
+        if rule == "isolated":
+            memo[mask] = (1,)
+            continue
+        if rule == "complete":
+            memo[mask] = (mask.bit_count(),)
+            continue
+        child_masks = [mask & ~(g.adj[u] | 1 << u) for u in bits(g.adj[v] & mask)]
+        stack.append((mask, child_masks))
+        stack.extend((c, None) for c in reversed(child_masks) if c not in memo)
+    return memo[g.full_mask]
 
-    return rec(g.full_mask)
 
-
-def _node_counts(g: Graph, mask: int, rec) -> tuple[int, ...]:
-    if mask == 0:
-        return ()
-    for v in bits(mask):
-        if g.adj[v] & mask == 0:
-            return (1,)
-    complete = True
-    for v in bits(mask):
-        if (g.adj[v] | 1 << v) & mask != mask:
-            complete = False
-            break
-    if complete:
-        return (mask.bit_count(),)
-    chosen = -1
-    for v in bits(mask):
-        nv = g.adj[v] & mask
-        if all(nv & ~(g.adj[u] | 1 << u) == 0 for u in bits(nv)):
-            chosen = v
-            break
-    if chosen < 0:
-        raise UnsupportedGraphError(
-            "no simplicial vertex in the induced subgraph on "
-            f"{sorted(bits(mask))}",
-            tuple(bits(mask)),
-        )
-    nv = g.adj[chosen] & mask
-    k = 0
-    child_fs = []
-    for u in bits(nv):
-        mask_u = mask & ~(g.adj[u] | 1 << u)
-        if mask_u == 0:
-            k += 1
-            child_fs.append(())
-        else:
-            child_fs.append(rec(mask_u))
-    degree = nv.bit_count()
+def _combine(child_fs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    # One child per neighbor of v; a universal neighbor's child is empty.
+    k = sum(1 for f in child_fs if not f)
     top = max((len(f) for f in child_fs), default=0)
     counts = [0] * (top + 1)
     counts[0] = 1 + k
     if top >= 1:
-        counts[1] = sum(f[0] for f in child_fs if f) - (degree - k)
+        counts[1] = sum(f[0] for f in child_fs if f) - (len(child_fs) - k)
     for t in range(2, top + 1):
         counts[t] = sum(f[t - 1] for f in child_fs if len(f) >= t)
     return _trim(counts)

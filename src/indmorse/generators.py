@@ -187,16 +187,30 @@ def grid_spec_from_labels(g: Graph) -> GridSpec:
         raise ValueError("empty graph has no grid spec")
     m = max(i for i, _ in g.labels)
     n = max(j for _, j in g.labels)
-    counts = [[0] * (n + 1) for _ in range(m + 1)]
-    for i, j in g.labels:
+    members = [[0] * (n + 1) for _ in range(m + 1)]
+    for v, (i, j) in enumerate(g.labels):
         if i < 0 or j < 0:
             raise ValueError("negative cell label")
-        counts[i][j] += 1
-    if any(c == 0 for row in counts for c in row):
+        members[i][j] |= 1 << v
+    if any(c == 0 for row in members for c in row):
         raise ValueError("labels leave a grid cell empty")
-    adj = g.adj
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if bool(adj[u] >> v & 1) != _grid_adjacent(g.labels[u], g.labels[v]):
-                raise ValueError("labels are inconsistent with the adjacency rule")
-    return GridSpec.of(m, n, counts)
+    # below[i][j] / above[i][j]: members of the cells (r, s) with r <= i and
+    # s <= j, resp. r >= i and s >= j; together, every comparable cell.
+    below = [row[:] for row in members]
+    for i in range(m + 1):
+        for j in range(n + 1):
+            if i:
+                below[i][j] |= below[i - 1][j]
+            if j:
+                below[i][j] |= below[i][j - 1]
+    above = [row[:] for row in members]
+    for i in range(m, -1, -1):
+        for j in range(n, -1, -1):
+            if i < m:
+                above[i][j] |= above[i + 1][j]
+            if j < n:
+                above[i][j] |= above[i][j + 1]
+    for u, (i, j) in enumerate(g.labels):
+        if g.adj[u] != (below[i][j] | above[i][j]) & ~(1 << u):
+            raise ValueError("labels are inconsistent with the adjacency rule")
+    return GridSpec.of(m, n, [[c.bit_count() for c in row] for row in members])

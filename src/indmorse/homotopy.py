@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .complexes import SimplicialComplex, is_maximal
 from .graph_core import Graph, domination_number
 from .homology import HomologyProfile
-from .matching import check_field, generalized_vpath_reachable
+from .matching import _pair_maps, _vpath_reachable, check_field
 from .morse import ConstructionResult
 
 
@@ -80,9 +80,9 @@ def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     if fvec[0] == 1:
         zero = next(s for s in critical if s.bit_count() == 1)
         higher = [s for s in critical if s.bit_count() >= 2]
+        up, _ = _pair_maps(result.pairs)
         if higher and all(
-            generalized_vpath_reachable(x, result.pairs, s) <= {s, zero}
-            for s in higher
+            _vpath_reachable(up, critical, s) <= {s, zero} for s in higher
         ):
             return _wedge([0] + list(fvec[1:]))
 

@@ -8,7 +8,7 @@ meaningful evidence rather than a tautology.
 from fractions import Fraction
 from itertools import combinations
 
-from indmorse import Graph, SimplicialComplex
+from indmorse import Graph, SimplicialComplex, UnsupportedGraphError, bits
 
 
 def independent_set_masks(g: Graph) -> set[int]:
@@ -33,6 +33,92 @@ def independent_sets_recursive(adj, mask: int):
     yield from independent_sets_recursive(adj, rest)
     for s in independent_sets_recursive(adj, rest & ~adj[v]):
         yield s | 1 << v
+
+
+def mcs_quadratic(adj, mask: int) -> list[int]:
+    """Maximum cardinality search on the subgraph induced by ``mask`` by a
+    full rescan of the unnumbered vertices at every step (highest weight,
+    smallest id on ties), numbered from the back.  This fixes the order that
+    the library's bucketed search must reproduce."""
+    order: list[int] = []
+    weight = {v: 0 for v in bits(mask)}
+    unnumbered = mask
+    while unnumbered:
+        best = -1
+        best_w = -1
+        for v in bits(unnumbered):
+            if weight[v] > best_w:
+                best, best_w = v, weight[v]
+        order.append(best)
+        unnumbered &= ~(1 << best)
+        for w in bits(adj[best] & unnumbered):
+            weight[w] += 1
+    order.reverse()
+    return order
+
+
+def critical_fvector_recursive_reference(g: Graph) -> tuple[int, ...]:
+    """The count recurrence of ``critical_fvector_recursive`` evaluated by
+    plain recursion (so limited to shallow graphs).  Its visiting order fixes
+    which subgraph without a simplicial vertex gets reported."""
+    memo: dict[int, tuple[int, ...]] = {}
+
+    def rec(mask: int) -> tuple[int, ...]:
+        if mask in memo:
+            return memo[mask]
+        out = _node_counts(g, mask, rec)
+        memo[mask] = out
+        return out
+
+    return rec(g.full_mask)
+
+
+def _node_counts(g: Graph, mask: int, rec) -> tuple[int, ...]:
+    if mask == 0:
+        return ()
+    for v in bits(mask):
+        if g.adj[v] & mask == 0:
+            return (1,)
+    complete = True
+    for v in bits(mask):
+        if (g.adj[v] | 1 << v) & mask != mask:
+            complete = False
+            break
+    if complete:
+        return (mask.bit_count(),)
+    chosen = -1
+    for v in bits(mask):
+        nv = g.adj[v] & mask
+        if all(nv & ~(g.adj[u] | 1 << u) == 0 for u in bits(nv)):
+            chosen = v
+            break
+    if chosen < 0:
+        raise UnsupportedGraphError(
+            "no simplicial vertex in the induced subgraph on "
+            f"{sorted(bits(mask))}",
+            tuple(bits(mask)),
+        )
+    nv = g.adj[chosen] & mask
+    k = 0
+    child_fs = []
+    for u in bits(nv):
+        mask_u = mask & ~(g.adj[u] | 1 << u)
+        if mask_u == 0:
+            k += 1
+            child_fs.append(())
+        else:
+            child_fs.append(rec(mask_u))
+    degree = nv.bit_count()
+    top = max((len(f) for f in child_fs), default=0)
+    counts = [0] * (top + 1)
+    counts[0] = 1 + k
+    if top >= 1:
+        counts[1] = sum(f[0] for f in child_fs if f) - (degree - k)
+    for t in range(2, top + 1):
+        counts[t] = sum(f[t - 1] for f in child_fs if len(f) >= t)
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)
 
 
 def has_induced_long_cycle(g: Graph) -> bool:

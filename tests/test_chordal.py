@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from indmorse import (
     Graph,
@@ -16,15 +17,22 @@ from indmorse import (
     standard_graph,
     verify_peo,
 )
-from oracles import has_induced_long_cycle
+from indmorse.chordal import _mcs_masked
+from oracles import has_induced_long_cycle, mcs_quadratic
 
-from test_graph_core import all_graphs
+from test_graph_core import all_graphs, graphs
 
 
 def test_mcs_returns_permutation():
     for g in (standard_graph("complete", 3), standard_graph("path", 5)):
         order = maximum_cardinality_search(g)
         assert sorted(order) == list(range(g.n))
+
+
+@given(graphs(14), st.integers(min_value=0, max_value=(1 << 14) - 1))
+def test_bucketed_mcs_keeps_the_rescan_order(g, mask):
+    mask &= g.full_mask
+    assert _mcs_masked(g.adj, mask) == mcs_quadratic(g.adj, mask)
 
 
 def test_verify_peo_examples():

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given
 
 from indmorse import (
     Graph,
     GridSpec,
+    HomotopyType,
     UnsupportedGraphError,
     build_chordal_matching,
     build_grid_matching,
@@ -18,7 +20,10 @@ from indmorse import (
     standard_graph,
 )
 
+from indmorse.homotopy import homotopy_from_counts
+from oracles import critical_fvector_recursive_reference
 from test_generators import small_specs
+from test_graph_core import graphs
 
 
 def test_recursive_counts_examples():
@@ -28,6 +33,45 @@ def test_recursive_counts_examples():
     cone = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert critical_fvector_recursive(cone) == (1,)
     assert critical_fvector_recursive(standard_graph("empty", 0)) == ()
+
+
+# Vertex 0 is simplicial with neighbors 1 and 2; both children are
+# chordless 4-cycles, and the one under neighbor 1 must be the one reported.
+TWO_BAD_CHILDREN = Graph.from_edges(
+    8, [(0, 1), (0, 2), (1, 2), (1, 7), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3),
+        (7, 4), (7, 6)]
+)
+
+
+@given(graphs(10))
+@example(TWO_BAD_CHILDREN)
+def test_recursive_counts_match_the_recursive_reference(g):
+    try:
+        want = critical_fvector_recursive_reference(g)
+    except UnsupportedGraphError as exc:
+        with pytest.raises(UnsupportedGraphError) as got:
+            critical_fvector_recursive(g)
+        assert str(got.value) == str(exc)
+        assert got.value.vertices == exc.vertices
+    else:
+        assert critical_fvector_recursive(g) == want
+
+
+def test_recursive_counts_on_long_paths():
+    # Kozlov: Ind(P_n) is S^(k-1) for n in {3k-1, 3k} and a point for
+    # n = 3k+1.  These paths are deeper than the interpreter's recursion limit.
+    sphere_1500 = HomotopyType("wedge", (0,) * 499 + (1,))
+    sphere_1502 = HomotopyType("wedge", (0,) * 500 + (1,))
+    fvecs = {
+        n: critical_fvector_recursive(standard_graph("path", n))
+        for n in (1500, 1501, 1502)
+    }
+    assert fvecs[1500] == (1,) + (0,) * 498 + (1,)
+    assert fvecs[1501] == (1,)
+    assert fvecs[1502] == (1,) + (0,) * 499 + (1,)
+    assert homotopy_from_counts(fvecs[1500]) == sphere_1500
+    assert homotopy_from_counts(fvecs[1501]) == HomotopyType("collapsible")
+    assert homotopy_from_counts(fvecs[1502]) == sphere_1502
 
 
 def test_recursive_counts_match_grid_construction():

@@ -229,3 +229,15 @@ def test_grid_spec_from_labels_rejects_bad_labels():
     relabeled = Graph(g.n, g.adj, ((0, 1), (0, 0), (1, 0), (1, 1)))
     with pytest.raises(ValueError):
         grid_spec_from_labels(relabeled)
+    # One edge added or removed anywhere breaks the adjacency rule.
+    for spec in (
+        GridSpec.of(1, 2, [[1, 2, 1], [2, 1, 1]]),
+        GridSpec.of(2, 1, [[1, 1]] * 3),
+    ):
+        g = grid_graph(spec)
+        for u, v in itertools.combinations(range(g.n), 2):
+            adj = list(g.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            with pytest.raises(ValueError, match="inconsistent with the adjacency rule"):
+                grid_spec_from_labels(Graph(g.n, tuple(adj), g.labels))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from indmorse import matching
 from indmorse import (
     ConstructionResult,
     Graph,
@@ -105,7 +106,7 @@ def test_classify_single_dimension_branch():
     assert h == HomotopyType("wedge", (0, 1))
 
 
-def test_classify_descending_path_branch():
+def test_classify_descending_path_branch(monkeypatch):
     # A 2-sphere with a solid flap (vertices 0..4) wedged at vertex 0 with
     # a filled-triangle circle (vertices 0,5,6,7).  Critical cells sit in
     # dimensions 0, 1 and 2 and all of the higher ones are non-maximal, so
@@ -132,7 +133,18 @@ def test_classify_descending_path_branch():
     critical = [0b00000001, 0b01100000, 0b00000111]
     res = manual_result(pairs, critical)
     assert verify_matching(x, pairs) and verify_acyclic(x, pairs)
+    # The field is validated once; the path test reuses that certificate.
+    checks = []
+    check_matching = matching.check_matching
+
+    def counted(*args):
+        checks.append(args)
+        return check_matching(*args)
+
+    monkeypatch.setattr(matching, "check_matching", counted)
     h = classify(x, res)
+    monkeypatch.undo()
+    assert len(checks) == 1
     assert h == HomotopyType("wedge", (0, 1, 1))
     prof = homology_integer(x)
     assert prof.betti == (1, 1, 1, 0)
