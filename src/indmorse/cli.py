@@ -132,12 +132,14 @@ def _homotopy_json(h: HomotopyType):
     return {"unclassified": h.reason}
 
 
-def _graph_summary(g: Graph) -> dict:
+def _graph_summary(g: Graph) -> tuple[dict, GridSpec | None]:
+    """The report's graph block, and the grid spec its labels define, if any."""
     summary = {
         "vertices": g.n,
         "edges": sum(row.bit_count() for row in g.adj) // 2,
         "chordal": is_chordal(g),
     }
+    spec = None
     if g.labels is not None:
         try:
             spec = grid_spec_from_labels(g)
@@ -149,18 +151,19 @@ def _graph_summary(g: Graph) -> dict:
                 "n": spec.n,
                 "sizes": [list(row) for row in spec.sizes],
             }
-    return summary
+    return summary, spec
 
 
 # ─────────────────────────────────────────────────────────────
 #  Shared pipeline pieces
 # ─────────────────────────────────────────────────────────────
 
-def _build(g: Graph, driver: str) -> ConstructionResult:
+def _build(g: Graph, driver: str, spec: GridSpec | None = None) -> ConstructionResult:
     if driver == "chordal":
         return build_chordal_matching(g)
     if driver == "grid":
-        return build_grid_matching(g, grid_spec_from_labels(g))
+        # No spec means the labels define no grid; deriving it raises why.
+        return build_grid_matching(g, spec or grid_spec_from_labels(g))
     return build_auto(g)
 
 
@@ -220,15 +223,16 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
     started = time.perf_counter()
     timings: dict[str, float] = {}
-    report: dict = {"graph": _graph_summary(g), "mode": args.mode}
-    chordal = report["graph"]["chordal"]
+    summary, spec = _graph_summary(g)
+    report: dict = {"graph": summary, "mode": args.mode}
+    chordal = summary["chordal"]
     if args.seed is not None:
         report["seed"] = args.seed
     failed = False
     h: HomotopyType | None = None
 
     if args.mode == "explicit":
-        result = _build(g, args.driver)
+        result = _build(g, args.driver, spec)
         timings["build_s"] = round(time.perf_counter() - started, 6)
         x = independence_complex(g)
         h = classify(x, result)
@@ -241,7 +245,7 @@ def cmd_analyze(args) -> int:
         report["homotopy"] = _homotopy_json(h)
     else:
         if args.driver == "grid":
-            spec = grid_spec_from_labels(g)
+            spec = spec or grid_spec_from_labels(g)
             fvec = grid_critical_fvector(spec)
             if args.table and spec.m >= 1 and spec.n >= 1:
                 table = grid_count_table(spec)
@@ -372,17 +376,12 @@ def cmd_homology(args) -> int:
 
 def cmd_compare(args) -> int:
     g = _load_graph(args.graph)
-    report: dict = {"graph": _graph_summary(g)}
-    spec = None
-    if g.labels is not None:
-        try:
-            spec = grid_spec_from_labels(g)
-        except ValueError:
-            spec = None
+    summary, spec = _graph_summary(g)
+    report: dict = {"graph": summary}
     if spec is not None:
         result = build_grid_matching(g, spec)
         report["grid_f"] = list(grid_critical_fvector(spec))
-    elif report["graph"]["chordal"]:
+    elif summary["chordal"]:
         result = build_chordal_matching(g)
     else:
         result = build_auto(g)

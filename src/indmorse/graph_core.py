@@ -147,26 +147,6 @@ def induced_delete(g: Graph, u: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(old_ids), tuple(adj), labels), old_ids
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Partition of the vertices into components, one bitmask each."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            grow = 0
-            for w in bits(frontier):
-                grow |= g.adj[w]
-            frontier = grow & ~comp
-            comp |= grow
-        out.append(comp)
-        seen |= comp
-    return out
-
-
 def _dominates(closed: list[int], subset, full: int) -> bool:
     cover = 0
     for v in subset:

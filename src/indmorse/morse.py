@@ -194,28 +194,25 @@ def extend_matching(
     return _scoped_extend(g, full, v, checked, "extend")
 
 
-def _select_chordal(g: Graph, mask: int):
+def _select_base(g: Graph, mask: int):
+    """The isolated-vertex and complete-graph rules, or None if neither holds."""
     for v in bits(mask):
         if g.adj[v] & mask == 0:
             return "isolated", v
     for v in bits(mask):
         if (g.adj[v] | 1 << v) & mask != mask:
-            break
-    else:
-        return "complete", None
-    head = _mcs_masked(g.adj, mask)[0]
-    return "extend", head
+            return None
+    return "complete", None
+
+
+def _select_chordal(g: Graph, mask: int):
+    return _select_base(g, mask) or ("extend", _mcs_masked(g.adj, mask)[0])
 
 
 def _select_auto(g: Graph, mask: int):
-    for v in bits(mask):
-        if g.adj[v] & mask == 0:
-            return "isolated", v
-    for v in bits(mask):
-        if (g.adj[v] | 1 << v) & mask != mask:
-            break
-    else:
-        return "complete", None
+    base = _select_base(g, mask)
+    if base is not None:
+        return base
     for v in bits(mask):
         nv = g.adj[v] & mask
         if all(nv & ~(g.adj[u] | 1 << u) == 0 for u in bits(nv)):
@@ -227,15 +224,47 @@ def _select_auto(g: Graph, mask: int):
     )
 
 
+def _grid_selector(g: Graph, spec: GridSpec):
+    """Selection over the upper-left rectangles of cells of a labeled grid.
+
+    A rectangle (a, b) holds the cells (r, s) with r <= a and s >= b; its
+    corner cell (a, b) contributes v.  Deleting N[u] for a neighbor u of v
+    leaves another such rectangle, so every mask the recursion reaches must
+    be one: anything else means the labels contradict the grid recursion.
+    """
+    m, n = spec.m, spec.n
+    rows = [0] * (m + 1)
+    cols = [0] * (n + 1)
+    for vtx, (i, j) in enumerate(g.labels):
+        rows[i] |= 1 << vtx
+        cols[j] |= 1 << vtx
+    rows_upto = rows[:]
+    for a in range(1, m + 1):
+        rows_upto[a] |= rows_upto[a - 1]
+    cols_from = cols[:]
+    for b in range(n - 1, -1, -1):
+        cols_from[b] |= cols_from[b + 1]
+
+    def select(g: Graph, mask: int):
+        a = m
+        while not rows[a] & mask:
+            a -= 1
+        b = 0
+        while not cols[b] & mask:
+            b += 1
+        if mask != rows_upto[a] & cols_from[b]:
+            raise ValueError("labels are inconsistent with the grid recursion")
+        if a == 0 or b == n:
+            return "complete", None
+        corner = rows[a] & cols[b]
+        return "extend", (corner & -corner).bit_length() - 1
+
+    return select
+
+
 def _recurse(g: Graph, mask: int, select, memo: dict, trace, driver: str):
     if mask in memo:
         return memo[mask]
-    if mask == 0:
-        node = _result([], [], None, driver)
-        memo[mask] = node
-        if trace is not None:
-            trace[mask] = {"rule": "empty", "v": None, "children": {}, "result": node}
-        return node
     rule, v = select(g, mask)
     children: dict[int, ConstructionResult] = {}
     child_masks: dict[int, int] = {}
@@ -280,69 +309,12 @@ def build_grid_matching(
 ) -> ConstructionResult:
     """Driver for labeled grid-family graphs.
 
-    Recursion follows the corner cell (m, 0) of each remaining upper-left
-    rectangle of cells; deleting N[u] of a neighbor in column 0 or in the
-    top row leaves another such rectangle, which is where memoization pays
-    off.
+    A selection policy of the shared recursion: v is the smallest vertex of
+    the corner cell (a, b) of the remaining upper-left rectangle of cells.
+    Deleting N[u] of a neighbor in column b or in row a leaves another such
+    rectangle, which is where memoization pays off.
     """
     _check_cap(g)
-    derived = grid_spec_from_labels(g)
-    if derived != spec:
+    if grid_spec_from_labels(g) != spec:
         raise ValueError("labels are inconsistent with the given grid spec")
-    m, n = spec.m, spec.n
-    cell_mask: dict[tuple[int, int], int] = {}
-    for vtx, lab in enumerate(g.labels):
-        cell_mask[lab] = cell_mask.get(lab, 0) | 1 << vtx
-    rect_cache: dict[tuple[int, int], int] = {}
-
-    def rect_mask(a: int, b: int) -> int:
-        # Cells (r, s) with r <= a and s >= b.
-        key = (a, b)
-        if key not in rect_cache:
-            out = 0
-            for r in range(a + 1):
-                for s in range(b, n + 1):
-                    out |= cell_mask[(r, s)]
-            rect_cache[key] = out
-        return rect_cache[key]
-
-    memo: dict[int, ConstructionResult] = {}
-
-    def build_rect(a: int, b: int) -> ConstructionResult:
-        mask = rect_mask(a, b)
-        if mask in memo:
-            return memo[mask]
-        if a == 0 or b == n:
-            node = _scoped_complete(g, mask, "grid")
-            rule, v = "complete", None
-            child_masks: dict[int, int] = {}
-        else:
-            v = min(bits(cell_mask[(a, b)]))
-            children: dict[int, ConstructionResult] = {}
-            child_masks = {}
-            for u in bits(g.adj[v] & mask):
-                mask_u = mask & ~(g.adj[u] | 1 << u)
-                if mask_u == 0:
-                    continue
-                i, j = g.labels[u]
-                if j == b:
-                    ca, cb = i - 1, b + 1
-                else:
-                    ca, cb = a - 1, j + 1
-                if mask_u != rect_mask(ca, cb):
-                    raise ValueError("labels are inconsistent with the grid recursion")
-                children[u] = build_rect(ca, cb)
-                child_masks[u] = mask_u
-            node = _scoped_extend(g, mask, v, children, "grid")
-            rule = "extend"
-        memo[mask] = node
-        if trace is not None:
-            trace[mask] = {
-                "rule": rule,
-                "v": v,
-                "children": child_masks,
-                "result": node,
-            }
-        return node
-
-    return build_rect(m, 0)
+    return _recurse(g, g.full_mask, _grid_selector(g, spec), {}, trace, "grid")

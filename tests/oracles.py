@@ -57,6 +57,57 @@ def mcs_quadratic(adj, mask: int) -> list[int]:
     return order
 
 
+def grid_rectangle_trace(g: Graph, spec) -> dict:
+    """The corner-rectangle recursion of the grid driver, from labels alone.
+
+    Rectangle (a, b) holds the cells (r, s) with r <= a and s >= b.  Unless
+    a == 0 or b == spec.n (a complete graph), v is the smallest vertex of cell
+    (a, b), and its neighbors are the other members of column b (rows <= a)
+    and of row a (columns >= b).  Deleting N[u] for u in cell (i, b) leaves
+    rectangle (i - 1, b + 1); for u in cell (a, j), j > b, it leaves
+    (a - 1, j + 1); an out-of-range rectangle is empty and has no child.
+    Returns {mask: (rule, v, {u: child mask})}; adjacency is never read.
+    """
+    cell: dict[tuple[int, int], int] = {}
+    for v, lab in enumerate(g.labels):
+        cell[lab] = cell.get(lab, 0) | 1 << v
+
+    def rect(a: int, b: int) -> int:
+        mask = 0
+        for r in range(a + 1):
+            for s in range(b, spec.n + 1):
+                mask |= cell[r, s]
+        return mask
+
+    out: dict[int, tuple] = {}
+
+    def visit(a: int, b: int) -> int:
+        mask = rect(a, b)
+        if mask in out:
+            return mask
+        if a == 0 or b == spec.n:
+            out[mask] = ("complete", None, {})
+            return mask
+        v = min(bits(cell[a, b]))
+        children = {}
+        for u, (i, j) in enumerate(g.labels):
+            if u == v:
+                continue
+            if j == b and i <= a:
+                ca, cb = i - 1, b + 1
+            elif i == a and j > b:
+                ca, cb = a - 1, j + 1
+            else:
+                continue
+            if ca >= 0 and cb <= spec.n:
+                children[u] = visit(ca, cb)
+        out[mask] = ("extend", v, children)
+        return mask
+
+    visit(spec.m, 0)
+    return out
+
+
 def critical_fvector_recursive_reference(g: Graph) -> tuple[int, ...]:
     """The count recurrence of ``critical_fvector_recursive`` evaluated by
     plain recursion (so limited to shallow graphs).  Its visiting order fixes

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from indmorse import cli, generators, morse
 from indmorse.cli import main
 
 
@@ -302,6 +303,29 @@ def test_compare_grid(capsys, tmp_path):
     assert data["agree"] is True
     assert data["driver"] == "grid"
     assert data["grid_f"] == data["critical_f"] == data["counts_f"]
+
+
+def test_grid_spec_derived_once_per_route(capsys, tmp_path, monkeypatch):
+    gpath = str(tmp_path / "grid.json")
+    run(capsys, "gen", "grid", "--m", "1", "--n", "1",
+        "--sizes", "1,2,2,1", "--out", gpath)
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return generators.grid_spec_from_labels(g)
+
+    monkeypatch.setattr(cli, "grid_spec_from_labels", counted)
+    monkeypatch.setattr(morse, "grid_spec_from_labels", counted)
+    # The summary derives the spec once; build_grid_matching checks it again.
+    for argv, want in (
+        (("analyze", gpath, "--mode", "counts", "--driver", "grid"), 1),
+        (("analyze", gpath, "--driver", "grid"), 2),
+        (("compare", gpath), 2),
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == want, argv
 
 
 # ── output plumbing and errors ───────────────────────────────

@@ -10,7 +10,6 @@ from indmorse import (
     Graph,
     bits,
     closed_neighborhood,
-    connected_components,
     domination_number,
     graph_from_json,
     graph_to_json,
@@ -136,23 +135,6 @@ def test_induced_delete_preserves_surviving_edges():
                 (a, b) for a, b in g.edges() if a in keep and b in keep
             }
             assert got == expect
-
-
-def test_connected_components_examples():
-    assert len(connected_components(K3)) == 1
-    assert len(connected_components(standard_graph("empty", 3))) == 3
-    disjoint = Graph.from_edges(4, [(0, 1), (1, 2)])
-    assert len(connected_components(disjoint)) == 2
-
-
-def test_connected_components_partition_vertices():
-    for g in all_graphs(4):
-        comps = connected_components(g)
-        union = 0
-        for c in comps:
-            assert union & c == 0
-            union |= c
-        assert union == g.full_mask
 
 
 def test_domination_number_examples():

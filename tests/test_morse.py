@@ -1,5 +1,8 @@
 """The recursive matching construction and its three drivers."""
 
+import itertools
+import random
+
 import pytest
 
 from indmorse import (
@@ -26,7 +29,9 @@ from indmorse import (
     verify_acyclic,
     verify_matching,
 )
-from indmorse.morse import _select_auto
+from indmorse.morse import _grid_selector, _select_auto
+
+from oracles import grid_rectangle_trace
 
 GRID11 = grid_graph(GridSpec.of(1, 1, [[1, 1], [1, 1]]))
 
@@ -200,6 +205,47 @@ def test_build_grid_examples():
     col = grid_graph(GridSpec.of(1, 0, [[1], [2]]))
     res = build_grid_matching(col, GridSpec.of(1, 0, [[1], [2]]))
     assert res.critical_f == (3,)
+
+
+def shuffled(g, seed):
+    """g with its vertex ids permuted by a seeded shuffle."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    adj = [0] * g.n
+    labels = [None] * g.n
+    for old, new in enumerate(perm):
+        adj[new] = sum(1 << perm[w] for w in bits(g.adj[old]))
+        labels[new] = g.labels[old]
+    return Graph(g.n, tuple(adj), tuple(labels))
+
+
+def test_grid_trace_matches_rectangle_oracle():
+    cases = []
+    for m, n in itertools.product(range(3), repeat=2):
+        for combo in itertools.product((1, 2), repeat=(m + 1) * (n + 1)):
+            spec = GridSpec.of(
+                m, n, [combo[r * (n + 1):(r + 1) * (n + 1)] for r in range(m + 1)]
+            )
+            cases.append((grid_graph(spec), spec))
+    cases.append((power_graph_cyclic(2, 3, 1, 1), GridSpec.of(1, 1, [[1, 2], [1, 2]])))
+    spec = GridSpec.of(2, 2, [[1, 2, 1], [2, 1, 2], [1, 2, 2]])
+    cases.append((shuffled(grid_graph(spec), 7), spec))
+    for g, spec in cases:
+        trace = {}
+        build_grid_matching(g, spec, trace=trace)
+        got = {
+            mask: (node["rule"], node["v"], node["children"])
+            for mask, node in trace.items()
+        }
+        assert got == grid_rectangle_trace(g, spec)
+
+
+def test_grid_selector_rejects_non_rectangle():
+    select = _grid_selector(GRID11, GridSpec.of(1, 1, [[1, 1], [1, 1]]))
+    # Cells (0, 0) and (1, 1) alone: the corner is (1, 0), whose rectangle
+    # is the whole grid.
+    with pytest.raises(ValueError, match="inconsistent with the grid recursion"):
+        select(GRID11, 0b1001)
 
 
 def test_build_grid_rejects_inconsistent_input():
