@@ -73,7 +73,7 @@ def _read_json(path: str):
 def _load_graph(path: str) -> Graph:
     try:
         return graph_from_json(_read_json(path))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
 
 
@@ -115,7 +115,12 @@ def _load_pairs(path: str, n: int) -> list[tuple[int, int]]:
     for item in obj:
         if not (isinstance(item, list) and len(item) == 2):
             raise ValueError(f"malformed pair {item!r}")
-        pairs.append((_mask(item[0], n), _mask(item[1], n)))
+        try:
+            pairs.append((_mask(item[0], n), _mask(item[1], n)))
+        except (TypeError, OverflowError) as exc:
+            # A simplex that is not a list, or a vertex that int() rejects
+            # (null, a list, an infinite float).
+            raise ValueError(f"malformed pair {item!r}") from exc
     return pairs
 
 

@@ -185,12 +185,15 @@ def grid_spec_from_labels(g: Graph) -> GridSpec:
         raise ValueError("graph carries no grid labels")
     if g.n == 0:
         raise ValueError("empty graph has no grid spec")
+    if any(i < 0 or j < 0 for i, j in g.labels):
+        raise ValueError("negative cell label")
     m = max(i for i, _ in g.labels)
     n = max(j for _, j in g.labels)
+    # Checked before allocating the cell table, which the labels size.
+    if (m + 1) * (n + 1) > g.n:
+        raise ValueError("labels leave a grid cell empty")
     members = [[0] * (n + 1) for _ in range(m + 1)]
     for v, (i, j) in enumerate(g.labels):
-        if i < 0 or j < 0:
-            raise ValueError("negative cell label")
         members[i][j] |= 1 << v
     if any(c == 0 for row in members for c in row):
         raise ValueError("labels leave a grid cell empty")

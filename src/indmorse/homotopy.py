@@ -49,7 +49,10 @@ def homotopy_from_counts(fvec: tuple[int, ...]) -> HomotopyType:
     fvec and only maximal critical simplices, but for at most one 0-simplex:
     collapsible for a single critical cell, else one sphere per critical
     cell with one 0-simplex taken as the base point."""
-    if sum(fvec) == 1:
+    total = sum(fvec)
+    if total == 0:
+        raise ValueError("a nonempty complex has at least one critical simplex")
+    if total == 1:
         return HomotopyType("collapsible")
     return _wedge([fvec[0] - 1] + list(fvec[1:]))
 
@@ -64,10 +67,8 @@ def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     critical, fvec = cert.critical, cert.critical_f
     if critical != result.critical_set or fvec != result.critical_f:
         raise ValueError("result does not describe its own matching")
-    total = sum(fvec)
-    if total == 0:
-        raise ValueError("a nonempty complex has at least one critical simplex")
 
+    # With no critical simplex, homotopy_from_counts raises.
     non_maximal = [s for s in critical if not is_maximal(x, s)]
     if not non_maximal or (
         len(non_maximal) == 1 and non_maximal[0].bit_count() == 1

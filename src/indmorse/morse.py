@@ -21,6 +21,7 @@ from the corner cell), and a generic one (v = smallest simplicial vertex).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 from .chordal import _mcs_masked, is_chordal
@@ -74,19 +75,6 @@ def _result(pairs, critical, special_zero, driver) -> ConstructionResult:
     )
 
 
-def _scoped_isolated(g: Graph, mask: int, v: int, driver: str) -> ConstructionResult:
-    # Pairing every simplex avoiding v with its v-extension collapses the
-    # cone; only {v} (paired with the empty simplex) stays critical.
-    bit = 1 << v
-    pairs = [(a, a | bit) for a in _independent_sets(g.adj, mask & ~bit)]
-    return _result(pairs, [bit], bit, driver)
-
-
-def _scoped_complete(g: Graph, mask: int, driver: str) -> ConstructionResult:
-    critical = [1 << v for v in bits(mask)]
-    return _result([], critical, None, driver)
-
-
 def _is_universal_in(g: Graph, v: int, mask: int) -> bool:
     return (g.adj[v] | 1 << v) & mask == mask
 
@@ -109,13 +97,17 @@ def _choose_xu(g: Graph, child_mask: int, child: ConstructionResult) -> int:
     return min(zeros)
 
 
-def _scoped_extend(
+def _scoped_node(
     g: Graph,
     mask: int,
-    v: int,
+    v: int | None,
     children: Mapping[int, ConstructionResult],
     driver: str,
 ) -> ConstructionResult:
+    """The matching on I(G[mask]): the extension step at v with the given
+    children, or, for v None (a complete subgraph), the empty matching."""
+    if v is None:
+        return _result([], [1 << u for u in bits(mask)], None, driver)
     bit_v = 1 << v
     pairs: list[Pair] = []
     critical: list[int] = [bit_v]
@@ -136,8 +128,7 @@ def _scoped_extend(
             if c != xu:
                 critical.append(c | bit_u)
     rest = mask & ~(g.adj[v] | bit_v)
-    for a in _independent_sets(g.adj, rest):
-        pairs.append((a, a | bit_v))
+    pairs += [(a, a | bit_v) for a in _independent_sets(g.adj, rest)]
     return _result(pairs, critical, bit_v, driver)
 
 
@@ -147,7 +138,9 @@ def match_isolated(g: Graph, v: int) -> ConstructionResult:
     _check_cap(g)
     if g.adj[v] != 0:
         raise ValueError(f"vertex {v} is not isolated")
-    return _scoped_isolated(g, g.full_mask, v, "isolated")
+    # With no neighbors, only case (iii) applies: every simplex avoiding v
+    # is paired with its v-extension, which collapses the cone onto {v}.
+    return _scoped_node(g, g.full_mask, v, {}, "isolated")
 
 
 def match_complete(g: Graph) -> ConstructionResult:
@@ -158,7 +151,7 @@ def match_complete(g: Graph) -> ConstructionResult:
     for v in range(g.n):
         if (g.adj[v] | 1 << v) != full:
             raise ValueError("graph is not complete")
-    return _scoped_complete(g, full, "complete")
+    return _scoped_node(g, full, None, {}, "complete")
 
 
 def extend_matching(
@@ -191,7 +184,7 @@ def extend_matching(
         if not check_field(x_u, sub[u].pairs).ok:
             raise ValueError(f"sub-matching for neighbor {u} is invalid")
         checked[u] = sub[u]
-    return _scoped_extend(g, full, v, checked, "extend")
+    return _scoped_node(g, full, v, checked, "extend")
 
 
 def _select_base(g: Graph, mask: int):
@@ -262,28 +255,42 @@ def _grid_selector(g: Graph, spec: GridSpec):
     return select
 
 
-def _recurse(g: Graph, mask: int, select, memo: dict, trace, driver: str):
-    if mask in memo:
-        return memo[mask]
-    rule, v = select(g, mask)
-    children: dict[int, ConstructionResult] = {}
-    child_masks: dict[int, int] = {}
-    if rule == "isolated":
-        node = _scoped_isolated(g, mask, v, driver)
-    elif rule == "complete":
-        node = _scoped_complete(g, mask, driver)
-    else:
-        for u in bits(g.adj[v] & mask):
-            mask_u = mask & ~(g.adj[u] | 1 << u)
-            if mask_u == 0:
-                continue
-            children[u] = _recurse(g, mask_u, select, memo, trace, driver)
-            child_masks[u] = mask_u
-        node = _scoped_extend(g, mask, v, children, driver)
-    memo[mask] = node
-    if trace is not None:
-        trace[mask] = {"rule": rule, "v": v, "children": child_masks, "result": node}
-    return node
+def _recurse(g: Graph, select, assemble, trace=None):
+    """The memoized recursion of every route, on an explicit stack.
+
+    ``select(g, mask)`` gives a rule and a vertex v (None for a complete
+    subgraph); the children are the nonempty G - N[u] over u in N(v) & mask.
+    ``assemble(g, mask, v, {u: child node})`` builds the node.  Masks are
+    selected in the pre-order of a recursive evaluation, so a rejected
+    subgraph is the one it would report, and assembled and traced in its
+    post-order.
+    """
+    memo: dict = {}
+    # (mask, None) selects for mask; (mask, picked) assembles it.
+    stack: list = [(g.full_mask, None)]
+    while stack:
+        mask, picked = stack.pop()
+        if picked is not None:
+            rule, v, child_masks = picked
+            children = {u: memo[c] for u, c in child_masks.items()}
+            node = memo[mask] = assemble(g, mask, v, children)
+            if trace is not None:
+                trace[mask] = {
+                    "rule": rule, "v": v, "children": child_masks, "result": node
+                }
+            continue
+        if mask in memo:
+            continue
+        rule, v = select(g, mask)
+        child_masks: dict[int, int] = {}
+        if v is not None:
+            for u in bits(g.adj[v] & mask):
+                mask_u = mask & ~(g.adj[u] | 1 << u)
+                if mask_u:
+                    child_masks[u] = mask_u
+        stack.append((mask, (rule, v, child_masks)))
+        stack.extend((c, None) for c in reversed(child_masks.values()) if c not in memo)
+    return memo[g.full_mask]
 
 
 def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionResult:
@@ -293,7 +300,7 @@ def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionR
         raise ValueError("graph is not chordal")
     if g.n == 0:
         return _result([], [], None, "chordal")
-    return _recurse(g, g.full_mask, _select_chordal, {}, trace, "chordal")
+    return _recurse(g, _select_chordal, partial(_scoped_node, driver="chordal"), trace)
 
 
 def build_auto(g: Graph, trace: dict | None = None) -> ConstructionResult:
@@ -301,7 +308,7 @@ def build_auto(g: Graph, trace: dict | None = None) -> ConstructionResult:
     _check_cap(g)
     if g.n == 0:
         return _result([], [], None, "auto")
-    return _recurse(g, g.full_mask, _select_auto, {}, trace, "auto")
+    return _recurse(g, _select_auto, partial(_scoped_node, driver="auto"), trace)
 
 
 def build_grid_matching(
@@ -317,4 +324,5 @@ def build_grid_matching(
     _check_cap(g)
     if grid_spec_from_labels(g) != spec:
         raise ValueError("labels are inconsistent with the given grid spec")
-    return _recurse(g, g.full_mask, _grid_selector(g, spec), {}, trace, "grid")
+    select = _grid_selector(g, spec)
+    return _recurse(g, select, partial(_scoped_node, driver="grid"), trace)

@@ -5,13 +5,20 @@ stdout or to ``--out`` files, plus the process exit code contract:
 0 success, 1 verification/consistency failure, 2 input error, 3 unsupported.
 """
 
+import contextlib
+import copy
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indmorse import cli, generators, morse
+from indmorse import cli, generators, graph_to_json, grid_graph, morse
 from indmorse.cli import main
+from test_generators import small_specs
+from test_graph_core import graphs
 
 
 def run(capsys, *argv):
@@ -179,6 +186,20 @@ def test_analyze_counts_auto_rejects_cycle(capsys, c4):
     assert run(capsys, "analyze", c4, "--mode", "counts")[0] == 3
 
 
+def test_analyze_empty_graph_exits_2_in_both_modes(capsys, tmp_path):
+    g = write_graph(tmp_path, "k0.json", 0, [])
+    for mode in ("explicit", "counts"):
+        for driver in ("auto", "chordal"):
+            code, out, err = run(
+                capsys, "analyze", g, "--mode", mode, "--driver", driver
+            )
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: a nonempty complex has at least one critical simplex\n"
+            )
+
+
 def test_analyze_seed_and_timings_keys(capsys, p5):
     code, data, _ = run_json(
         capsys, "analyze", p5, "--seed", "7", "--timings"
@@ -251,6 +272,13 @@ def test_verify_bad_vertex_in_pair(capsys, tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps([[[0], [0, 5]]]), encoding="utf-8")
     assert run(capsys, "verify", g, str(m))[0] == 2
+    # A simplex that is not a list, or a null vertex, is an input error too.
+    for pairs in ([[5, [0, 1]]], [[[None], [0, 1]]]):
+        m.write_text(json.dumps(pairs), encoding="utf-8")
+        code, out, err = run(capsys, "verify", g, str(m))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed pair ")
 
 
 def test_match_dot_dump(capsys, tmp_path):
@@ -360,3 +388,106 @@ def test_malformed_graph_object(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "malformed graph JSON" in err or '"n" and "edges"' in err
+
+
+# ── fuzz ─────────────────────────────────────────────────────
+
+# Malformed or extreme values.  No value is an integer from 8 to 10**19, so
+# a spoiled "n" never builds a graph with more than 7 vertices and every
+# command finishes in milliseconds.
+JUNK = st.sampled_from(
+    [None, True, -1, 5, 10**20, 1.5, float("inf"), "x", [], [2000, 2000]]
+)
+GRID_DOCS = [
+    graph_to_json(grid_graph(spec))
+    for spec in small_specs(2, 2, 2)
+    if spec.total_vertices() <= 7
+]
+
+
+def _spoil(draw, value):
+    """Replace value, or one entry at some depth inside it, by a junk value."""
+    if isinstance(value, list) and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        value[i] = _spoil(draw, value[i])
+        return value
+    return draw(JUNK)
+
+
+@st.composite
+def graph_docs(draw):
+    """A graph document, labeled or not, with at most one spoiled entry."""
+    doc = copy.deepcopy(
+        draw(st.one_of(graphs(7).map(graph_to_json), st.sampled_from(GRID_DOCS)))
+    )
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["n", "edges", "labels"]))
+        doc[key] = _spoil(draw, doc.get(key, []))
+    return doc
+
+
+@st.composite
+def matching_docs(draw):
+    """A list of [alpha, beta] pairs, bare or under "pairs", maybe spoiled."""
+    simplex = st.lists(st.integers(0, 6), max_size=3, unique=True)
+    pairs = draw(st.lists(st.lists(simplex, min_size=2, max_size=2), max_size=4))
+    if draw(st.booleans()):
+        pairs = _spoil(draw, pairs)
+    return {"pairs": pairs} if draw(st.booleans()) else pairs
+
+
+COMMANDS = [
+    ["analyze", "--mode", mode, "--driver", driver, *extra]
+    for mode in ("explicit", "counts")
+    for driver in ("auto", "chordal", "grid")
+    for extra in ([], ["--oracle", "--gamma", "--table"])
+] + [
+    [cmd, *extra]
+    for cmd, extra in (
+        ("match", ["--pairs"]),
+        ("match", ["--pairs", "--driver", "chordal"]),
+        ("match", ["--pairs", "--driver", "grid"]),
+        ("compare", []),
+        ("homology", []),
+    )
+]
+
+
+FUZZ = settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _main_on_docs(command, docs, flags):
+    """Run ``main`` on the documents written to files and check its exit
+    code, and that stdout is JSON on 0 and 1 and stderr an error otherwise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, doc in enumerate(docs):
+            paths.append(os.path.join(tmp, f"{k}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *paths, *flags])
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+
+
+@FUZZ
+@given(graph=st.one_of(graph_docs(), JUNK), command=st.sampled_from(COMMANDS))
+def test_cli_fuzz_exits_with_a_documented_code(graph, command):
+    _main_on_docs(command[0], [graph], command[1:])
+
+
+@FUZZ
+@given(graph=graph_docs(), matching=matching_docs())
+def test_cli_fuzz_verify_exits_with_a_documented_code(graph, matching):
+    _main_on_docs("verify", [graph, matching], [])

@@ -10,6 +10,7 @@ from indmorse import (
     GridSpec,
     HomotopyType,
     UnsupportedGraphError,
+    build_auto,
     build_chordal_matching,
     build_grid_matching,
     critical_fvector_recursive,
@@ -33,6 +34,8 @@ def test_recursive_counts_examples():
     cone = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert critical_fvector_recursive(cone) == (1,)
     assert critical_fvector_recursive(standard_graph("empty", 0)) == ()
+    with pytest.raises(ValueError, match="at least one critical simplex"):
+        homotopy_from_counts(())
 
 
 # Vertex 0 is simplicial with neighbors 1 and 2; both children are
@@ -46,15 +49,20 @@ TWO_BAD_CHILDREN = Graph.from_edges(
 @given(graphs(10))
 @example(TWO_BAD_CHILDREN)
 def test_recursive_counts_match_the_recursive_reference(g):
+    # Both routes run on morse._recurse; the construction must visit the
+    # subgraphs in the reference's order too.
+    routes = (critical_fvector_recursive, lambda g: build_auto(g).critical_f)
     try:
         want = critical_fvector_recursive_reference(g)
     except UnsupportedGraphError as exc:
-        with pytest.raises(UnsupportedGraphError) as got:
-            critical_fvector_recursive(g)
-        assert str(got.value) == str(exc)
-        assert got.value.vertices == exc.vertices
+        for route in routes:
+            with pytest.raises(UnsupportedGraphError) as got:
+                route(g)
+            assert str(got.value) == str(exc)
+            assert got.value.vertices == exc.vertices
     else:
-        assert critical_fvector_recursive(g) == want
+        for route in routes:
+            assert route(g) == want
 
 
 def test_recursive_counts_on_long_paths():

@@ -1,6 +1,7 @@
 """Graph family generators: grids, cyclic power graphs, random chordal."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -241,3 +242,19 @@ def test_grid_spec_from_labels_rejects_bad_labels():
             adj[v] ^= 1 << u
             with pytest.raises(ValueError, match="inconsistent with the adjacency rule"):
                 grid_spec_from_labels(Graph(g.n, tuple(adj), g.labels))
+
+
+def test_grid_spec_from_labels_checks_cell_count_before_allocating():
+    # One vertex cannot fill a 2001 x 2001 grid; the table it would size
+    # from the labels is never built.
+    g = Graph(1, (0,), ((2000, 2000),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="labels leave a grid cell empty"):
+            grid_spec_from_labels(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="negative cell label"):
+        grid_spec_from_labels(Graph(2, (0, 0), ((2000, 2000), (-1, 0))))
