@@ -40,8 +40,6 @@ from .graph_core import (
 )
 from .homology import (
     HomologyProfile,
-    betti_gf2,
-    boundary_matrix,
     homology_integer,
     optimal_matching_bruteforce,
 )
@@ -83,9 +81,7 @@ __all__ = [
     "HomotopyType",
     "SimplicialComplex",
     "UnsupportedGraphError",
-    "betti_gf2",
     "bits",
-    "boundary_matrix",
     "build_auto",
     "build_chordal_matching",
     "build_grid_matching",

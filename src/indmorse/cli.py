@@ -96,7 +96,6 @@ def _verts(mask: int) -> list[int]:
 def _mask(verts, n: int) -> int:
     out = 0
     for v in verts:
-        v = int(v)
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for n={n}")
         if out >> v & 1:
@@ -113,14 +112,16 @@ def _load_pairs(path: str, n: int) -> list[tuple[int, int]]:
         raise ValueError("matching JSON must be a list of [alpha, beta] pairs")
     pairs = []
     for item in obj:
-        if not (isinstance(item, list) and len(item) == 2):
+        # Each simplex is a list of JSON integers; bool is an int subclass.
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and all(
+                isinstance(s, list) and all(type(v) is int for v in s) for s in item
+            )
+        ):
             raise ValueError(f"malformed pair {item!r}")
-        try:
-            pairs.append((_mask(item[0], n), _mask(item[1], n)))
-        except (TypeError, OverflowError) as exc:
-            # A simplex that is not a list, or a vertex that int() rejects
-            # (null, a list, an infinite float).
-            raise ValueError(f"malformed pair {item!r}") from exc
+        pairs.append((_mask(item[0], n), _mask(item[1], n)))
     return pairs
 
 

@@ -9,6 +9,7 @@ away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph_core import EXPLICIT_VERTEX_CAP, CapabilityError, Graph, bits
 
@@ -38,13 +39,26 @@ class SimplicialComplex:
                     )
         return SimplicialComplex(n, faces)
 
+    @cached_property
+    def _by_size(self) -> tuple[tuple[int, ...], ...]:
+        """The faces bucketed by vertex count, each bucket sorted: entry k
+        holds the (k - 1)-simplices, so entry 0 is (0,).  Built on first use."""
+        buckets: list[list[int]] = [[]]
+        for s in self.faces:
+            k = s.bit_count()
+            while k >= len(buckets):
+                buckets.append([])
+            buckets[k].append(s)
+        return tuple(tuple(sorted(b)) for b in buckets)
+
     def dim(self) -> int:
         """Largest simplex dimension; -1 for the complex {0}."""
-        return max(s.bit_count() for s in self.faces) - 1
+        return len(self._by_size) - 2
 
-    def simplices_of_dim(self, d: int) -> list[int]:
-        """Sorted list of the d-dimensional simplices."""
-        return sorted(s for s in self.faces if s.bit_count() == d + 1)
+    def simplices_of_dim(self, d: int) -> tuple[int, ...]:
+        """Sorted tuple of the d-dimensional simplices."""
+        by_size = self._by_size
+        return by_size[d + 1] if 0 <= d + 1 < len(by_size) else ()
 
 
 def _independent_sets(adj: tuple[int, ...], mask: int) -> list[int]:
@@ -76,14 +90,7 @@ def independence_complex(g: Graph) -> SimplicialComplex:
 
 def f_vector(x: SimplicialComplex) -> tuple[int, ...]:
     """Counts of d-simplices for d = 0..dim(x); empty for the complex {0}."""
-    top = x.dim()
-    if top < 0:
-        return ()
-    counts = [0] * (top + 1)
-    for s in x.faces:
-        if s:
-            counts[s.bit_count() - 1] += 1
-    return tuple(counts)
+    return tuple(map(len, x._by_size[1:]))
 
 
 def is_maximal(x: SimplicialComplex, sigma: int) -> bool:

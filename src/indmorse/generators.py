@@ -81,21 +81,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _euler_phi(k: int) -> int:
-    # Trial division; the orders involved are tiny.
-    out = k
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out -= out // d
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out -= out // k
-    return out
-
-
 def power_graph_cyclic(p: int, q: int, m: int, n: int) -> Graph:
     """Power graph of the cyclic group of order p^m q^n.
 

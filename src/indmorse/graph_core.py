@@ -79,7 +79,12 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        lab = None if labels is None else tuple((int(i), int(j)) for i, j in labels)
+        lab = None
+        if labels is not None:
+            lab = tuple(map(tuple, labels))
+            for cell in lab:
+                if not (len(cell) == 2 and type(cell[0]) is int and type(cell[1]) is int):
+                    raise ValueError(f"malformed label {list(cell)!r}")
         return Graph(n, tuple(adj), lab)
 
     @property
@@ -147,13 +152,6 @@ def induced_delete(g: Graph, u: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(old_ids), tuple(adj), labels), old_ids
 
 
-def _dominates(closed: list[int], subset, full: int) -> bool:
-    cover = 0
-    for v in subset:
-        cover |= closed[v]
-    return cover == full
-
-
 def domination_number(g: Graph) -> int:
     """Exact domination number by increasing-cardinality exhaustive search."""
     if g.n < 1:
@@ -196,14 +194,17 @@ def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('graph JSON must contain "n" and "edges"')
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    # JSON integers only: bool is an int subclass, and a float or a string
+    # must not be rounded or parsed into a vertex.
+    if type(n) is not int or n < 0:
         raise ValueError('"n" must be a nonnegative integer')
-    edges = []
-    for e in obj["edges"]:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+    edges = obj["edges"]
+    for e in edges:
+        if not (
+            isinstance(e, (list, tuple))
+            and len(e) == 2
+            and type(e[0]) is int
+            and type(e[1]) is int
+        ):
             raise ValueError(f"malformed edge {e!r}")
-        edges.append((int(e[0]), int(e[1])))
-    labels = obj.get("labels")
-    if labels is not None:
-        labels = [tuple(lab) for lab in labels]
-    return Graph.from_edges(n, edges, labels)
+    return Graph.from_edges(n, edges, obj.get("labels"))

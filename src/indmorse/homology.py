@@ -1,10 +1,11 @@
 """Independent ground truth: integer simplicial homology and brute-force
 optimal matchings.
 
-Nothing here looks at a constructed matching; Betti numbers come from ranks
-of boundary matrices (integer elimination for the real thing, GF(2) bitset
-elimination as a fast cross-check), and the optimum comes from exhaustive
-search over acyclic matchings of tiny complexes.
+Nothing here looks at a constructed matching.  Betti numbers and torsion
+come from the integer ranks and invariant factors of the boundary matrices,
+whose signed columns are built in one place (``_columns_of``) from the
+complex's faces by dimension; the optimum comes from exhaustive search over
+acyclic matchings of tiny complexes.
 """
 
 from __future__ import annotations
@@ -27,29 +28,13 @@ class HomologyProfile:
     torsion_free: tuple[bool, ...]
 
 
-def boundary_matrix(x: SimplicialComplex, d: int):
-    """The d-th boundary matrix with signs from the sorted vertex order.
-
-    Returns (rows, cols, cells): rows are the (d-1)-simplices, cols the
-    d-simplices (both sorted by bitmask), and cells maps (row index, col
-    index) to the entry, omitting zeros.
-    """
-    top = x.dim()
-    if not 1 <= d <= top:
-        raise ValueError(f"boundary dimension {d} out of range 1..{top}")
-    rows = x.simplices_of_dim(d - 1)
-    cols = x.simplices_of_dim(d)
-    row_index = {s: i for i, s in enumerate(rows)}
-    cells: dict[tuple[int, int], int] = {}
-    for c, beta in enumerate(cols):
-        sign = 1
-        for v in bits(beta):
-            cells[(row_index[beta & ~(1 << v)], c)] = sign
-            sign = -sign
-    return rows, cols, cells
-
-
 def _columns_of(x: SimplicialComplex, d: int) -> list[dict[int, int]]:
+    """The d-th boundary matrix, one signed column per d-simplex.
+
+    Columns follow the d-simplices and row indices the (d-1)-simplices, both
+    sorted by bitmask; a column maps each facet's row to +1 or -1, the signs
+    alternating along the sorted vertex order.
+    """
     rows = x.simplices_of_dim(d - 1)
     row_index = {s: i for i, s in enumerate(rows)}
     cols = []
@@ -191,11 +176,11 @@ def _rank_and_factors(cols: list[dict[int, int]], nrows: int) -> tuple[int, list
 
 def homology_integer(x: SimplicialComplex) -> HomologyProfile:
     """Unreduced integer homology of the nonempty part of the complex."""
-    fv = f_vector(x)
-    if sum(fv) > HOMOLOGY_SIMPLEX_CAP:
+    if len(x.faces) - 1 > HOMOLOGY_SIMPLEX_CAP:
         raise CapabilityError(
             f"integer homology is limited to {HOMOLOGY_SIMPLEX_CAP} simplices"
         )
+    fv = f_vector(x)
     top = len(fv) - 1
     if top < 0:
         return HomologyProfile((), ())
@@ -208,36 +193,6 @@ def homology_integer(x: SimplicialComplex) -> HomologyProfile:
     betti = tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
     torsion_free = tuple(not nontrivial[d + 1] for d in range(top + 1))
     return HomologyProfile(betti, torsion_free)
-
-
-def betti_gf2(x: SimplicialComplex) -> tuple[int, ...]:
-    """Betti numbers over the two-element field (fast bitset elimination)."""
-    fv = f_vector(x)
-    if sum(fv) > HOMOLOGY_SIMPLEX_CAP:
-        raise CapabilityError(
-            f"GF(2) homology is limited to {HOMOLOGY_SIMPLEX_CAP} simplices"
-        )
-    top = len(fv) - 1
-    if top < 0:
-        return ()
-    ranks = [0] * (top + 2)
-    for d in range(1, top + 1):
-        pivots: dict[int, int] = {}
-        rank = 0
-        for col in _columns_of(x, d):
-            vec = 0
-            for r in col:
-                vec |= 1 << r
-            while vec:
-                low = vec & -vec
-                other = pivots.get(low)
-                if other is None:
-                    pivots[low] = vec
-                    rank += 1
-                    break
-                vec ^= other
-        ranks[d] = rank
-    return tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
 
 def optimal_matching_bruteforce(x: SimplicialComplex) -> int:

@@ -304,7 +304,7 @@ def _rank_rational(mat: list[list[Fraction]]) -> int:
 
 def betti_rational(x: SimplicialComplex) -> tuple[int, ...]:
     """Unreduced Betti numbers over Q by dense Gaussian elimination."""
-    top = x.dim()
+    top = max(s.bit_count() for s in x.faces) - 1
     if top < 0:
         return ()
     counts = [0] * (top + 1)

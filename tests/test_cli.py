@@ -390,6 +390,38 @@ def test_malformed_graph_object(capsys, tmp_path):
     assert "malformed graph JSON" in err or '"n" and "edges"' in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": True, "edges": []},
+        {"n": 2, "edges": [[0, 1.9]]},
+        {"n": 2, "edges": [["0", "1"]]},
+        {"n": 2, "edges": [[0, 1]], "labels": [[0, 0], [True, 1]]},
+    ],
+)
+def test_graph_values_must_be_json_integers(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_pair_vertices_must_be_json_integers(capsys, tmp_path):
+    g = write_graph(tmp_path, "p3.json", 3, [[0, 1], [1, 2]])
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps([[[0], [0, 2]]]), encoding="utf-8")
+    code, data, _ = run_json(capsys, "verify", g, str(m))
+    assert code == 0 and data["ok"] is True
+    for pairs in ([["0", "02"]], [[[0], [0, 2.0]]], [[[False], [0, 2]]]):
+        m.write_text(json.dumps(pairs), encoding="utf-8")
+        code, out, err = run(capsys, "verify", g, str(m))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed pair ")
+
+
 # ── fuzz ─────────────────────────────────────────────────────
 
 # Malformed or extreme values.  No value is an integer from 8 to 10**19, so

@@ -21,6 +21,7 @@ from oracles import independent_set_masks, independent_sets_recursive
 
 from test_generators import small_specs
 from test_graph_core import all_graphs, graphs
+from test_homology import RP2
 
 K3 = standard_graph("complete", 3)
 P3 = standard_graph("path", 3)
@@ -82,6 +83,28 @@ def test_dim_examples():
     assert SimplicialComplex(3, frozenset({0})).dim() == -1
     assert independence_complex(K3).dim() == 0
     assert independence_complex(P3).dim() == 1
+
+
+def _check_face_index(x):
+    """The cached face index against filters of x.faces."""
+    top = max(s.bit_count() for s in x.faces) - 1
+    assert x.dim() == top
+    for d in range(-2, top + 2):
+        want = sorted(s for s in x.faces if s.bit_count() == d + 1)
+        assert x.simplices_of_dim(d) == tuple(want)
+    assert f_vector(x) == tuple(
+        sum(1 for s in x.faces if s.bit_count() == d + 1) for d in range(top + 1)
+    )
+
+
+@given(graphs(9))
+def test_face_index_equals_direct_filters(g):
+    _check_face_index(independence_complex(g))
+
+
+def test_face_index_on_rp2_and_the_empty_complex():
+    _check_face_index(RP2)
+    _check_face_index(SimplicialComplex(3, frozenset({0})))
 
 
 def test_grid_complex_dimension_is_min_of_m_and_n():

@@ -1,4 +1,5 @@
-"""Integer and GF(2) homology oracles plus the exhaustive matching search."""
+"""The integer homology oracle, its boundary columns, and the exhaustive
+matching search."""
 
 import pytest
 
@@ -6,8 +7,6 @@ from indmorse import (
     CapabilityError,
     HomologyProfile,
     SimplicialComplex,
-    betti_gf2,
-    boundary_matrix,
     build_chordal_matching,
     build_grid_matching,
     grid_graph,
@@ -18,7 +17,7 @@ from indmorse import (
     random_chordal,
     standard_graph,
 )
-from indmorse.homology import _rank_and_factors, _smith_diagonal_dense
+from indmorse.homology import _columns_of, _rank_and_factors, _smith_diagonal_dense
 from oracles import betti_rational, closure_complex
 
 from test_graph_core import all_graphs
@@ -30,44 +29,31 @@ RP2 = closure_complex(6, [19, 35, 13, 37, 25, 14, 22, 42, 52, 56])
 
 def test_boundary_matrix_of_p3():
     x = independence_complex(standard_graph("path", 3))
-    rows, cols, cells = boundary_matrix(x, 1)
-    assert rows == [1, 2, 4] and cols == [5]
-    assert cells == {(2, 0): 1, (0, 0): -1}
-
-
-def test_boundary_matrix_rejects_out_of_range_dimension():
-    x = independence_complex(standard_graph("path", 3))
-    with pytest.raises(ValueError):
-        boundary_matrix(x, 0)
-    with pytest.raises(ValueError):
-        boundary_matrix(x, 2)
+    assert x.simplices_of_dim(0) == (1, 2, 4) and x.simplices_of_dim(1) == (5,)
+    assert _columns_of(x, 1) == [{2: 1, 0: -1}]
 
 
 def test_boundary_columns_have_abs_sum_dim_plus_one():
     for g in all_graphs(4):
         x = independence_complex(g)
         for d in range(1, x.dim() + 1):
-            rows, cols, cells = boundary_matrix(x, d)
-            per_col = [0] * len(cols)
-            for (_, c), val in cells.items():
-                assert val in (1, -1)
-                per_col[c] += 1
-            assert all(t == d + 1 for t in per_col)
+            cols = _columns_of(x, d)
+            assert len(cols) == len(x.simplices_of_dim(d))
+            for col in cols:
+                assert set(col.values()) <= {1, -1}
+                assert len(col) == d + 1
 
 
 def test_boundary_composition_vanishes():
     for x in (RP2, independence_complex(standard_graph("cycle", 5))):
         for d in range(2, x.dim() + 1):
-            rows_lo, cols_lo, lo = boundary_matrix(x, d - 1)
-            rows_hi, cols_hi, hi = boundary_matrix(x, d)
-            assert cols_lo == rows_hi
-            prod = {}
-            for (r, c), val in hi.items():
-                for (r2, c2), val2 in lo.items():
-                    if c2 == r:
-                        key = (r2, c)
-                        prod[key] = prod.get(key, 0) + val * val2
-            assert all(v == 0 for v in prod.values())
+            lo = _columns_of(x, d - 1)
+            for col in _columns_of(x, d):
+                prod: dict[int, int] = {}
+                for r, val in col.items():
+                    for r2, val2 in lo[r].items():
+                        prod[r2] = prod.get(r2, 0) + val * val2
+                assert all(v == 0 for v in prod.values())
 
 
 def test_homology_integer_examples():
@@ -94,27 +80,11 @@ def test_homology_integer_detects_projective_plane_torsion():
     assert prof.torsion_free == (True, False, True)
 
 
-def test_betti_gf2_examples():
-    assert betti_gf2(independence_complex(standard_graph("path", 5))) == (1, 1, 0)
-    assert betti_gf2(independence_complex(standard_graph("cycle", 5))) == (1, 1)
-    # Over GF(2) the torsion class of the projective plane becomes visible
-    # in dimensions 1 and 2.
-    assert betti_gf2(RP2) == (1, 1, 1)
-
-
 def test_integer_betti_agrees_with_rational_oracle():
     for g in all_graphs(4):
         x = independence_complex(g)
         assert homology_integer(x).betti == betti_rational(x)
     assert homology_integer(RP2).betti == betti_rational(RP2)
-
-
-def test_gf2_betti_matches_integer_on_torsion_free_complexes():
-    for g in all_graphs(4):
-        x = independence_complex(g)
-        prof = homology_integer(x)
-        if all(prof.torsion_free):
-            assert betti_gf2(x) == prof.betti
 
 
 def test_smith_normal_form_dense_fallback():
@@ -134,8 +104,6 @@ def test_homology_simplex_cap():
     x = independence_complex(standard_graph("empty", 16))
     with pytest.raises(CapabilityError):
         homology_integer(x)
-    with pytest.raises(CapabilityError):
-        betti_gf2(x)
 
 
 def test_optimal_matching_bruteforce_examples():

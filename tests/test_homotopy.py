@@ -1,5 +1,7 @@
 """Homotopy-type classification, its three branches, and the oracle checks."""
 
+import random
+
 import pytest
 
 from indmorse import matching
@@ -202,3 +204,59 @@ def test_consistency_with_homology_cases():
     assert consistency_with_homology(points, HomologyProfile((3,), (True,)))
     assert consistency_with_homology(points, HomologyProfile((3, 0), (True, True)))
     assert not consistency_with_homology(points, HomologyProfile((2,), (True,)))
+
+
+def subtree_intersection_graph(n: int, seed: int) -> Graph:
+    """Intersection graph of n small random subtrees of a random tree.
+
+    Every such graph is chordal.  Each subtree after the first starts at a
+    node of an earlier one, so the graph is connected.
+    """
+    rng = random.Random(seed)
+    size = 3 * n
+    tree: list[list[int]] = [[] for _ in range(size)]
+    for i in range(1, size):
+        p = rng.randrange(i)
+        tree[i].append(p)
+        tree[p].append(i)
+    subtrees: list[set[int]] = []
+    for _ in range(n):
+        start = rng.choice(sorted(rng.choice(subtrees))) if subtrees else 0
+        nodes = {start}
+        frontier = list(tree[start])
+        want = rng.randint(1, 3)
+        while len(nodes) < want and frontier:
+            w = frontier.pop(rng.randrange(len(frontier)))
+            if w not in nodes:
+                nodes.add(w)
+                frontier += [y for y in tree[w] if y not in nodes]
+        subtrees.append(nodes)
+    edges = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if subtrees[a] & subtrees[b]
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def test_subtree_intersection_stratum_is_confirmed_by_homology():
+    # Connected chordal graphs with no isolated vertex, whose complexes are
+    # points or wedges of spheres but never cones over an isolated vertex.
+    # At least half of the 200 instances must reach a sphere of dimension
+    # >= 1 (this seed range gives 134, and 41 of dimension >= 2).
+    higher = 0
+    for seed in range(200):
+        g = subtree_intersection_graph(10 + seed % 11, seed)
+        reached = 1
+        while True:
+            grown = reached
+            for v in range(g.n):
+                if reached >> v & 1:
+                    grown |= g.adj[v]
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == g.full_mask and all(g.adj)
+        x = independence_complex(g)
+        h = classify(x, build_chordal_matching(g))
+        assert consistency_with_homology(h, homology_integer(x)), (seed, h)
+        higher += h.kind == "wedge" and any(h.wedge[1:])
+    assert higher >= 100
