@@ -75,7 +75,20 @@ def verify_peo(g: Graph, order) -> bool:
     return True
 
 
+def _peo(g: Graph) -> tuple[int, ...] | None:
+    """The MCS order of g if it is a perfect elimination ordering, else None.
+
+    A Graph is immutable, so the search and its check run once per graph and
+    the answer is kept in the instance dict, as ``functools.cached_property``
+    would keep it: ``is_chordal``, the count route and the chordal driver
+    share one search.
+    """
+    known = g.__dict__
+    if "_peo" not in known:
+        order = maximum_cardinality_search(g)
+        known["_peo"] = order if verify_peo(g, order) else None
+    return known["_peo"]
+
+
 def is_chordal(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return verify_peo(g, maximum_cardinality_search(g))
+    return _peo(g) is not None

@@ -252,13 +252,15 @@ def cmd_analyze(args) -> int:
     else:
         if args.driver == "grid":
             spec = spec or grid_spec_from_labels(g)
-            fvec = grid_critical_fvector(spec)
             if args.table and spec.m >= 1 and spec.n >= 1:
                 table = grid_count_table(spec)
+                fvec = table.critical_f
                 report["table"] = {
                     f"{i},{j}": list(entry)
                     for (i, j), entry in sorted(table.table.items())
                 }
+            else:
+                fvec = grid_critical_fvector(spec)
         else:
             if args.driver == "chordal" and not chordal:
                 raise ValueError("graph is not chordal")

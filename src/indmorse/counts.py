@@ -1,8 +1,10 @@
 """Critical f-vectors without materializing any complex.
 
 Two routes.  The recursive one runs the explicit construction's own
-recursion, ``morse._recurse`` with the generic driver's selection, and
-assembles critical counts instead of pairs at each node.  The grid one
+recursion, ``morse._recurse``, and assembles critical counts instead of
+pairs at each node.  It has two selection policies: on a chordal graph the
+first vertex of a perfect elimination ordering left in the subgraph, on any
+other graph the generic driver's smallest simplicial vertex.  The grid one
 evaluates closed recurrences over the corner-rectangle table c[i][j][l];
 the full grid is the rectangle (m, 0).  All arithmetic is plain Python int,
 so cell sizes may be arbitrarily large.
@@ -11,7 +13,9 @@ so cell sizes may be arbitrarily large.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
+from .chordal import _peo
 from .generators import GridSpec
 from .graph_core import Graph
 from .morse import _recurse, _select_auto
@@ -24,25 +28,57 @@ def _trim(counts: list[int]) -> tuple[int, ...]:
 
 
 def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
-    """Critical counts of the generic driver, by pure recursion on counts.
+    """Critical counts of the simplicial-vertex recursion, by pure recursion
+    on counts.
 
-    Base cases: an empty vertex set gives the empty vector, a subgraph with
-    an isolated vertex gives (1,), a complete subgraph on c vertices gives
-    (c,).  Otherwise, with v the smallest simplicial vertex (the generic
-    driver's selection, shared with build_auto), k universal
-    vertices and children G - N[u] over u in N(v):
+    An empty vertex set gives the empty vector.  Otherwise, with v the
+    selected simplicial vertex, k universal neighbors and children G - N[u]
+    over the other neighbors u:
 
       f_0 = 1 + k
       f_1 = sum_u f_0(child_u) - (deg(v) - k)
       f_t = sum_u f_{t-1}(child_u)      for t >= 2.
 
+    A chordal graph is renumbered once along a perfect elimination
+    ordering.  Its restriction to an induced subgraph is again one, so v is
+    the lowest vertex of every subgraph, found without a scan; an isolated v
+    gives (1,) and a v in a clique on c vertices gives (c,) by the formula
+    above.  Any other graph takes the generic driver's selection, shared
+    with build_auto: an isolated vertex gives (1,), a complete subgraph on c
+    vertices (c,), and otherwise v is the smallest simplicial vertex, so the
+    first subgraph without one is the one build_auto reports.  On a chordal
+    graph the construction is perfect, so every simplicial choice gives the
+    Betti numbers and both policies agree.
+
     It runs on the construction's own recursion, ``morse._recurse``, so its
-    depth is not bounded by the interpreter's, and the first subgraph
-    without a simplicial vertex is the one build_auto reports.
+    depth is not bounded by the interpreter's.
     """
     if g.n == 0:
         return ()
-    return _recurse(g, _select_auto, _assemble_counts)
+    peo = _peo(g)
+    if peo is None:
+        return _recurse(g, _select_auto, _assemble_counts)
+    return _recurse(_renumbered(g, peo), _select_lowest, _assemble_counts)
+
+
+def _renumbered(g: Graph, order) -> Graph:
+    """g with vertex order[i] renamed i."""
+    new_bit = [0] * g.n
+    for i, v in enumerate(order):
+        new_bit[v] = 1 << i
+    adj = []
+    for v in order:
+        old, row = g.adj[v], 0
+        while old:
+            low = old & -old
+            row |= new_bit[low.bit_length() - 1]
+            old ^= low
+        adj.append(row)
+    return Graph(g.n, tuple(adj))
+
+
+def _select_lowest(g: Graph, mask: int):
+    return "extend", (mask & -mask).bit_length() - 1
 
 
 def _assemble_counts(g: Graph, mask: int, v, children) -> tuple[int, ...]:
@@ -50,14 +86,16 @@ def _assemble_counts(g: Graph, mask: int, v, children) -> tuple[int, ...]:
         return (mask.bit_count(),)
     # A universal neighbor u of v leaves G - N[u] empty, so it has no child.
     k = (g.adj[v] & mask).bit_count() - len(children)
-    child_fs = list(children.values())
-    top = max((len(f) for f in child_fs), default=0)
-    counts = [0] * (top + 1)
-    counts[0] = 1 + k
-    if top >= 1:
-        counts[1] = sum(f[0] for f in child_fs) - len(child_fs)
-    for t in range(2, top + 1):
-        counts[t] = sum(f[t - 1] for f in child_fs if len(f) >= t)
+    child_fs = children.values()
+    # A path has one child per node and f-vectors of length up to n/3, so a
+    # node is built by list operations in C: a shift, or column sums.
+    if len(child_fs) == 1:
+        (f,) = child_fs
+        counts = [1 + k, f[0] - 1, *f[1:]]
+    else:
+        counts = [1 + k, *map(sum, zip_longest(*child_fs, fillvalue=0))]
+        if child_fs:
+            counts[1] -= len(child_fs)
     return _trim(counts)
 
 
@@ -68,11 +106,14 @@ class GridCountTable:
     ``entry(i, j, l)`` is the number of l-dimensional critical simplices of
     the construction on the subgraph spanned by cells (r, s) with r <= i and
     s >= j, defined for 0 <= i <= m-1, 1 <= j <= n, 0 <= l <= min(i, n-j).
+    ``critical_f`` is the full grid's critical f-vector, as
+    ``grid_critical_fvector`` gives it, read from the same table.
     """
 
     m: int
     n: int
     table: dict[tuple[int, int], tuple[int, ...]]
+    critical_f: tuple[int, ...]
 
     def entry(self, i: int, j: int, l: int) -> int:
         return self.table[(i, j)][l]
@@ -121,7 +162,10 @@ def grid_count_table(spec: GridSpec) -> GridCountTable:
         raise ValueError("the rectangle table needs m >= 1 and n >= 1")
     table = _rectangle_table(spec)
     return GridCountTable(
-        m, n, {(i, j): tuple(table[(i, j)]) for j in range(n, 0, -1) for i in range(m)}
+        m,
+        n,
+        {(i, j): tuple(table[(i, j)]) for j in range(n, 0, -1) for i in range(m)},
+        _trim(table[(m, 0)]),
     )
 
 

@@ -56,29 +56,67 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        # Symmetric iff every entry (v, w) with w > v has its mirror (w, v)
+        # and the entries above the diagonal are as many as those below.
+        total = upper = 0
+        mirrored = True
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency row of {v} mentions unknown vertices")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for w in bits(row):
-                if not self.adj[w] >> v & 1:
-                    raise ValueError(f"adjacency is not symmetric at ({v}, {w})")
+            total += row.bit_count()
+            up = row >> v + 1
+            upper += up.bit_count()
+            while mirrored and up:
+                low = up & -up
+                mirrored = adj[v + low.bit_length()] >> v & 1
+                up ^= low
+        if not mirrored or 2 * upper != total:
+            for v, row in enumerate(adj):
+                for w in bits(row):
+                    if not adj[w] >> v & 1:
+                        raise ValueError(f"adjacency is not symmetric at ({v}, {w})")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length does not match vertex count")
 
     @staticmethod
     def from_edges(n: int, edges, labels=None) -> "Graph":
-        adj = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        """The graph on 0..n-1 with the given edges and optional cell labels.
+
+        Every edge is a pair of integers; a bool, float or string end is
+        rejected, never converted.  A malformed edge is reported before a
+        vertex count too large to allocate, and that before the first
+        out-of-range edge or self-loop.
+        """
+        try:
+            adj = [0] * n
+        except (OverflowError, MemoryError):
+            # Raised again after the edges are checked.
+            adj = None
+        bad = None
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                u = v = None
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"malformed edge {e!r}")
+            if adj is not None and 0 <= u < n and 0 <= v < n and u != v:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            elif bad is None:
+                bad = (
+                    f"self-loop at vertex {u}"
+                    if 0 <= u == v < n
+                    else f"edge ({u}, {v}) out of range"
+                )
+        if adj is None:
+            adj = [0] * n
+        if bad is not None:
+            raise ValueError(bad)
         lab = None
         if labels is not None:
             lab = tuple(map(tuple, labels))
@@ -198,13 +236,4 @@ def graph_from_json(obj: dict) -> Graph:
     # must not be rounded or parsed into a vertex.
     if type(n) is not int or n < 0:
         raise ValueError('"n" must be a nonnegative integer')
-    edges = obj["edges"]
-    for e in edges:
-        if not (
-            isinstance(e, (list, tuple))
-            and len(e) == 2
-            and type(e[0]) is int
-            and type(e[1]) is int
-        ):
-            raise ValueError(f"malformed edge {e!r}")
-    return Graph.from_edges(n, edges, obj.get("labels"))
+    return Graph.from_edges(n, obj["edges"], obj.get("labels"))

@@ -15,7 +15,7 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indmorse import cli, generators, graph_to_json, grid_graph, morse
+from indmorse import chordal, cli, counts, generators, graph_to_json, grid_graph, morse
 from indmorse.cli import main
 from test_generators import small_specs
 from test_graph_core import graphs
@@ -354,6 +354,54 @@ def test_grid_spec_derived_once_per_route(capsys, tmp_path, monkeypatch):
         calls.clear()
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == want, argv
+
+
+def test_one_peo_search_per_run(capsys, p5, c4, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("maximum_cardinality_search", "verify_peo"):
+        monkeypatch.setattr(chordal, name, counted(getattr(chordal, name)))
+    # The summary's chordality check and the count route or the chordal
+    # driver share one search and one check of its order.
+    for argv, want in (
+        (("analyze", p5, "--mode", "counts", "--driver", "chordal"), 0),
+        (("analyze", p5, "--mode", "counts"), 0),
+        (("analyze", c4, "--mode", "counts"), 3),
+        (("analyze", p5, "--driver", "chordal"), 0),
+        (("compare", p5), 0),
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == want, argv
+        assert calls == ["maximum_cardinality_search", "verify_peo"], argv
+
+
+def test_count_table_filled_once(capsys, tmp_path, monkeypatch):
+    gpath = str(tmp_path / "grid.json")
+    run(capsys, "gen", "grid", "--m", "2", "--n", "1",
+        "--sizes", "1,2,2,1,1,2", "--out", gpath)
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return fill(spec)
+
+    fill = counts._rectangle_table
+    monkeypatch.setattr(counts, "_rectangle_table", counted)
+    argv = ("analyze", gpath, "--mode", "counts", "--driver", "grid")
+    code, plain, _ = run_json(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    calls.clear()
+    code, tabled, _ = run_json(capsys, *argv, "--table")
+    assert code == 0 and len(calls) == 1
+    assert tabled["critical_f"] == plain["critical_f"]
+    assert tabled["table"]
 
 
 # ── output plumbing and errors ───────────────────────────────

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings, strategies as st
 
 from indmorse import (
     Graph,
@@ -13,10 +13,13 @@ from indmorse import (
     build_auto,
     build_chordal_matching,
     build_grid_matching,
+    counts,
     critical_fvector_recursive,
     grid_count_table,
     grid_critical_fvector,
     grid_graph,
+    is_chordal,
+    morse,
     random_chordal,
     standard_graph,
 )
@@ -25,6 +28,7 @@ from indmorse.homotopy import homotopy_from_counts
 from oracles import critical_fvector_recursive_reference
 from test_generators import small_specs
 from test_graph_core import graphs
+from test_homotopy import subtree_intersection_graph
 
 
 def test_recursive_counts_examples():
@@ -67,19 +71,96 @@ def test_recursive_counts_match_the_recursive_reference(g):
 
 def test_recursive_counts_on_long_paths():
     # Kozlov: Ind(P_n) is S^(k-1) for n in {3k-1, 3k} and a point for
-    # n = 3k+1.  These paths are deeper than the interpreter's recursion limit.
-    sphere_1500 = HomotopyType("wedge", (0,) * 499 + (1,))
-    sphere_1502 = HomotopyType("wedge", (0,) * 500 + (1,))
+    # n = 3k+1.  These paths are far deeper than the interpreter's recursion
+    # limit, and long enough that a count route quadratic in n shows.
+    sphere_6000 = HomotopyType("wedge", (0,) * 1999 + (1,))
+    sphere_6002 = HomotopyType("wedge", (0,) * 2000 + (1,))
     fvecs = {
         n: critical_fvector_recursive(standard_graph("path", n))
-        for n in (1500, 1501, 1502)
+        for n in (6000, 6001, 6002)
     }
-    assert fvecs[1500] == (1,) + (0,) * 498 + (1,)
-    assert fvecs[1501] == (1,)
-    assert fvecs[1502] == (1,) + (0,) * 499 + (1,)
-    assert homotopy_from_counts(fvecs[1500]) == sphere_1500
-    assert homotopy_from_counts(fvecs[1501]) == HomotopyType("collapsible")
-    assert homotopy_from_counts(fvecs[1502]) == sphere_1502
+    assert fvecs[6000] == (1,) + (0,) * 1998 + (1,)
+    assert fvecs[6001] == (1,)
+    assert fvecs[6002] == (1,) + (0,) * 1999 + (1,)
+    assert homotopy_from_counts(fvecs[6000]) == sphere_6000
+    assert homotopy_from_counts(fvecs[6001]) == HomotopyType("collapsible")
+    assert homotopy_from_counts(fvecs[6002]) == sphere_6002
+
+
+def _relabeled(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def subdivided_tree(nodes: int, seed: int) -> Graph:
+    """A random recursive tree on ``nodes`` nodes with every edge replaced
+    by a path of three edges, so 3 * nodes - 2 vertices."""
+    rng = random.Random(seed)
+    n, edges = nodes, []
+    for v in range(1, nodes):
+        prev = rng.randrange(v)
+        for _ in range(2):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+        edges.append((prev, v))
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def shuffled_chordal(draw):
+    """A chordal graph with its vertex ids permuted, so that its perfect
+    elimination ordering is not the identity."""
+    kind = draw(st.sampled_from(["random", "subtrees", "tree"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "random":
+        g = random_chordal(draw(st.integers(1, 24)), draw(st.floats(0, 1)), seed)
+    elif kind == "subtrees":
+        g = subtree_intersection_graph(draw(st.integers(1, 20)), seed)
+    else:
+        g = subdivided_tree(draw(st.integers(1, 200)), seed)
+    return _relabeled(g, draw(st.permutations(range(g.n))))
+
+
+@settings(deadline=None)
+@given(shuffled_chordal())
+def test_chordal_count_policy_matches_the_recursive_reference(g):
+    # The chordal policy selects along one perfect elimination ordering;
+    # the reference takes the smallest simplicial vertex after the isolated
+    # and complete checks, and the counts must not depend on the choice.
+    assert is_chordal(g)
+    assert critical_fvector_recursive(g) == critical_fvector_recursive_reference(g)
+
+
+def test_chordal_count_policy_does_not_scan(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(morse, "_select_base", counted("base", morse._select_base))
+    monkeypatch.setattr(counts, "_select_auto", counted("auto", morse._select_auto))
+    chordal = (
+        standard_graph("path", 40),
+        standard_graph("complete", 5),
+        standard_graph("empty", 3),
+        random_chordal(30, 0.5, 1),
+        subdivided_tree(20, 2),
+    )
+    for g in chordal:
+        critical_fvector_recursive(g)
+    assert calls == []
+    # Non-chordal input keeps the generic selection and its error.
+    grid = grid_graph(GridSpec.of(2, 2, [[1] * 3] * 3))
+    assert not is_chordal(grid)
+    critical_fvector_recursive(grid)
+    assert "auto" in calls and "base" in calls
+    with pytest.raises(UnsupportedGraphError) as got:
+        critical_fvector_recursive(TWO_BAD_CHILDREN)
+    assert str(got.value) == "no simplicial vertex in the induced subgraph on [3, 4, 5, 6]"
+    assert got.value.vertices == (3, 4, 5, 6)
 
 
 def test_recursive_counts_match_grid_construction():

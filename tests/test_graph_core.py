@@ -178,3 +178,54 @@ def test_graph_json_round_trip():
     for g in (P4, K3, GRID11, standard_graph("empty", 2)):
         back = graph_from_json(graph_to_json(g))
         assert back.n == g.n and back.adj == g.adj and back.labels == g.labels
+
+
+def _asymmetry_reference(adj):
+    """The first entry (v, w), row by row, whose mirror (w, v) is missing."""
+    for v, row in enumerate(adj):
+        for w in range(len(adj)):
+            if row >> w & 1 and not adj[w] >> v & 1:
+                return v, w
+    return None
+
+
+@given(graphs(9), st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3))
+def test_adjacency_check_names_the_first_asymmetric_entry(g, flips):
+    adj = list(g.adj)
+    for v, w in flips:
+        if v != w and v < g.n and w < g.n:
+            adj[v] ^= 1 << w
+    witness = _asymmetry_reference(adj)
+    if witness is None:
+        assert Graph(g.n, tuple(adj)).adj == tuple(adj)
+    else:
+        with pytest.raises(ValueError) as got:
+            Graph(g.n, tuple(adj))
+        assert str(got.value) == "adjacency is not symmetric at (%d, %d)" % witness
+
+
+def test_adjacency_range_errors_come_before_asymmetry():
+    with pytest.raises(ValueError, match="row of 2 mentions unknown"):
+        Graph(3, (0b010, 0b000, 0b1000))
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph(3, (0b010, 0b000, 0b100))
+
+
+def test_graph_json_error_precedence():
+    # A malformed edge anywhere is reported first, then a vertex count too
+    # large to allocate, then the first out-of-range edge or self-loop.
+    cases = [
+        ({"n": 3, "edges": [[0, 5], [1, 1], [0, "2"]]}, ValueError, "malformed edge [0, '2']"),
+        ({"n": 3, "edges": [[0, 5], [1, 2, 0]]}, ValueError, "malformed edge [1, 2, 0]"),
+        ({"n": 10**20, "edges": [[0, 1], [True, 1]]}, ValueError, "malformed edge [True, 1]"),
+        ({"n": 10**20, "edges": [[-1, 0]]}, OverflowError, None),
+        ({"n": 3, "edges": [[0, 1], [0, 5], [1, 1]]}, ValueError, "edge (0, 5) out of range"),
+        ({"n": 3, "edges": [[0, 1], [1, 1], [0, 5]]}, ValueError, "self-loop at vertex 1"),
+        ({"n": 3, "edges": [[7, 7]]}, ValueError, "edge (7, 7) out of range"),
+        ({"n": 3, "edges": 4}, TypeError, None),
+    ]
+    for doc, exc, text in cases:
+        with pytest.raises(exc) as got:
+            graph_from_json(doc)
+        if text is not None:
+            assert str(got.value) == text, doc

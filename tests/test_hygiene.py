@@ -1,6 +1,8 @@
-"""Source hygiene: every private top-level function of the package is used."""
+"""Source hygiene: every private top-level function of the package is used,
+and README states the package's line count."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -37,3 +39,15 @@ def test_every_private_function_is_referenced():
             if used[name] == own:
                 unused.append(f"{filename}:{node.lineno} {name}")
     assert not unused, f"private functions never referenced in src/: {unused}"
+
+
+def test_readme_states_the_src_line_count():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"`src/` is ([\d,]+) lines of Python", readme)
+    assert stated, "README no longer states the src/ line count"
+    lines = sum(
+        path.read_text(encoding="utf-8").count("\n")
+        for path in (root / "src" / "indmorse").glob("*.py")
+    )
+    assert int(stated.group(1).replace(",", "")) == lines
