@@ -8,7 +8,7 @@ exists, so chordality reduces to running MCS and verifying its output.
 
 from __future__ import annotations
 
-from .graph_core import Graph, is_clique
+from .graph_core import Graph
 
 
 def _mcs_masked(adj: tuple[int, ...], mask: int) -> list[int]:
@@ -67,11 +67,17 @@ def verify_peo(g: Graph, order) -> bool:
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
+    adj = g.adj
     later = g.full_mask
     for v in order:
-        later &= ~(1 << v)
-        if not is_clique(g, g.adj[v] & later):
-            return False
+        later ^= 1 << v
+        nb = adj[v] & later
+        # A clique: each member is adjacent to the members above it.
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            if nb & ~adj[low.bit_length() - 1]:
+                return False
     return True
 
 

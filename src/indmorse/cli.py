@@ -45,6 +45,7 @@ from .homotopy import (
     HomotopyType,
     check_domination_bound,
     classify,
+    classify_tree,
     consistency_with_homology,
     homotopy_from_counts,
 )
@@ -164,13 +165,15 @@ def _graph_summary(g: Graph) -> tuple[dict, GridSpec | None]:
 #  Shared pipeline pieces
 # ─────────────────────────────────────────────────────────────
 
-def _build(g: Graph, driver: str, spec: GridSpec | None = None) -> ConstructionResult:
+def _build(
+    g: Graph, driver: str, spec: GridSpec | None = None, trace: dict | None = None
+) -> ConstructionResult:
     if driver == "chordal":
-        return build_chordal_matching(g)
+        return build_chordal_matching(g, trace=trace)
     if driver == "grid":
         # No spec means the labels define no grid; deriving it raises why.
-        return build_grid_matching(g, spec or grid_spec_from_labels(g))
-    return build_auto(g)
+        return build_grid_matching(g, spec or grid_spec_from_labels(g), trace=trace)
+    return build_auto(g, trace=trace)
 
 
 def _pad(seq, length: int) -> list[int]:
@@ -238,10 +241,12 @@ def cmd_analyze(args) -> int:
     h: HomotopyType | None = None
 
     if args.mode == "explicit":
-        result = _build(g, args.driver, spec)
+        trace: dict = {}
+        result = _build(g, args.driver, spec, trace)
         timings["build_s"] = round(time.perf_counter() - started, 6)
-        x = independence_complex(g)
-        h = classify(x, result)
+        # Certified by the extension theorem on the recursion tree; verify
+        # and compare check the field on the complex instead.
+        h = classify_tree(g, result, trace)
         fvec = result.critical_f
         report["driver"] = result.driver
         report["critical_f"] = list(fvec)
@@ -274,9 +279,7 @@ def cmd_analyze(args) -> int:
 
     if args.oracle:
         t0 = time.perf_counter()
-        if args.mode != "explicit":
-            x = independence_complex(g)
-        profile = homology_integer(x)
+        profile = homology_integer(independence_complex(g))
         report["betti"] = list(profile.betti)
         report["torsion_free"] = list(profile.torsion_free)
         ok = _oracle_consistent(h, fvec, profile)

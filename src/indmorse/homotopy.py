@@ -9,12 +9,13 @@ Unclassified rather than a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .complexes import SimplicialComplex, is_maximal
-from .graph_core import Graph, domination_number
+from .complexes import SimplicialComplex, independence_complex, is_maximal
+from .graph_core import Graph, bits, domination_number
 from .homology import HomologyProfile
 from .matching import _pair_maps, _vpath_reachable, check_field
-from .morse import ConstructionResult
+from .morse import ConstructionResult, certify_tree
 
 
 @dataclass(frozen=True)
@@ -57,42 +58,73 @@ def homotopy_from_counts(fvec: tuple[int, ...]) -> HomotopyType:
     return _wedge([fvec[0] - 1] + list(fvec[1:]))
 
 
+_UNCLASSIFIED = HomotopyType(
+    "unclassified",
+    reason=(
+        "several critical simplices are non-maximal and the descending "
+        "path test failed"
+    ),
+)
+
+
+def _decide(result, critical, fvec, maximal, descending) -> HomotopyType:
+    """The one decision of both ways in: tests 1 and 2 read the critical
+    cells and ``maximal(s)``; ``descending()`` runs test 3 when needed."""
+    if critical != result.critical_set or fvec != result.critical_f:
+        raise ValueError("result does not describe its own matching")
+    # With no critical simplex, homotopy_from_counts raises.
+    non_maximal = [s for s in critical if not maximal(s)]
+    if not non_maximal or (
+        len(non_maximal) == 1 and non_maximal[0].bit_count() == 1
+    ):
+        return homotopy_from_counts(fvec)
+    if len(fvec) >= 2 and fvec[0] == 1 and all(c == 0 for c in fvec[1:-1]):
+        return _wedge([0] * (len(fvec) - 1) + [fvec[-1]])
+    return descending() if fvec[0] == 1 else _UNCLASSIFIED
+
+
 def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
-    """Classify the homotopy type read off an acyclic matching on x."""
+    """Classify the homotopy type read off an acyclic matching on x,
+    verifying the matching on x first."""
     cert = check_field(x, result.pairs)
     if cert.error is not None:
         raise ValueError("pairs do not form a matching on this complex")
     if cert.cycle is not None:
         raise ValueError("matching is not acyclic")
     critical, fvec = cert.critical, cert.critical_f
-    if critical != result.critical_set or fvec != result.critical_f:
-        raise ValueError("result does not describe its own matching")
 
-    # With no critical simplex, homotopy_from_counts raises.
-    non_maximal = [s for s in critical if not is_maximal(x, s)]
-    if not non_maximal or (
-        len(non_maximal) == 1 and non_maximal[0].bit_count() == 1
-    ):
-        return homotopy_from_counts(fvec)
-
-    if len(fvec) >= 2 and fvec[0] == 1 and all(c == 0 for c in fvec[1:-1]):
-        return _wedge([0] * (len(fvec) - 1) + [fvec[-1]])
-
-    if fvec[0] == 1:
+    def descending() -> HomotopyType:
+        # Every higher critical cell reaches no critical cell but itself
+        # and the one 0-simplex along generalized paths.
         zero = next(s for s in critical if s.bit_count() == 1)
-        higher = [s for s in critical if s.bit_count() >= 2]
         up, _ = _pair_maps(result.pairs)
-        if higher and all(
-            _vpath_reachable(up, critical, s) <= {s, zero} for s in higher
+        if all(
+            _vpath_reachable(up, critical, s) <= {s, zero}
+            for s in critical
+            if s.bit_count() >= 2
         ):
             return _wedge([0] + list(fvec[1:]))
+        return _UNCLASSIFIED
 
-    return HomotopyType(
-        "unclassified",
-        reason=(
-            "several critical simplices are non-maximal and the descending "
-            "path test failed"
-        ),
+    return _decide(result, critical, fvec, partial(is_maximal, x), descending)
+
+
+def classify_tree(g: Graph, result: ConstructionResult, trace: dict) -> HomotopyType:
+    """The classify decision for a build of g and its trace, certified by
+    the extension theorem (morse.certify_tree) instead of verified on I(g).
+    sigma is a facet of I(g) iff sigma + N(sigma) covers g; I(g) is built
+    only for the descending-path test, which reads the pairs."""
+    cert = certify_tree(g, trace)
+
+    def maximal(s: int) -> bool:
+        covered = s
+        for w in bits(s):
+            covered |= g.adj[w]
+        return covered == g.full_mask
+
+    return _decide(
+        result, cert.critical, cert.critical_f, maximal,
+        lambda: classify(independence_complex(g), result),
     )
 
 

@@ -34,7 +34,7 @@ from .graph_core import (
     UnsupportedGraphError,
     bits,
 )
-from .matching import check_field, critical_fvector_of
+from .matching import FieldCertificate, check_field, critical_fvector_of
 
 Pair = tuple[int, int]
 
@@ -291,6 +291,67 @@ def _recurse(g: Graph, select, assemble, trace=None):
         stack.append((mask, (rule, v, child_masks)))
         stack.extend((c, None) for c in reversed(child_masks.values()) if c not in memo)
     return memo[g.full_mask]
+
+
+def _node_fault(adj, trace: dict, mask: int, node: dict) -> str | None:
+    """The extension theorem's first local hypothesis that fails at one
+    traced node, or None.  A "complete" node is a clique whose singletons
+    are critical.  Any other node has v in its mask and N(v) & mask a
+    clique; its children are the nonempty mask - N[u] over u in N(v) & mask,
+    each a node; its critical set is {v}, the {u} with no child, and the
+    lifts c + u of child u's critical cells but one 0-simplex x_u."""
+    crit, v = node["result"].critical_set, node["v"]
+    if node["rule"] == "complete":
+        if any(mask & ~(adj[w] | 1 << w) for w in bits(mask)):
+            return "the mask is not a clique"
+        if node["children"] or crit != {1 << w for w in bits(mask)}:
+            return "a clique's critical cells are not its singletons"
+        return None
+    if v is None or not mask >> v & 1:
+        return "v is not in the mask"
+    nv = adj[v] & mask
+    if any(nv & ~(adj[u] | 1 << u) for u in bits(nv)):
+        return "v is not simplicial"
+    expected, children = {1 << v}, {}
+    for u in bits(nv):
+        mask_u = mask & ~(adj[u] | 1 << u)
+        if not mask_u:
+            expected.add(1 << u)
+            continue
+        children[u] = mask_u
+        if mask_u not in trace:
+            return f"child {u} is not a node"
+        lifts = {c | 1 << u for c in trace[mask_u]["result"].critical_set}
+        dropped = lifts - crit  # {x_u + u}
+        if len(dropped) != 1 or dropped.pop().bit_count() != 2:
+            return f"x_{u} is not a critical 0-simplex of child {u}"
+        expected |= lifts
+    if node["children"] != children:
+        return "the child masks are not mask - N[u] over u in N(v)"
+    # Lifts through distinct u are disjoint, so this is crit equal to
+    # expected without the x_u + u.
+    if len(crit) != len(expected) - len(children) or not crit <= expected:
+        return "the critical set is not the extension's"
+    return None
+
+
+def certify_tree(g: Graph, trace: dict) -> FieldCertificate:
+    """Certify a build by the extension theorem: its local hypotheses hold
+    at every node of the build's trace (O(nodes * n) bit operations), so the
+    root's matching is acyclic with the returned critical set.  The pair
+    list itself is left to check_field.  Raises ValueError naming the first
+    node that fails and the hypothesis."""
+    if g.n == 0:
+        return FieldCertificate()
+    if g.full_mask not in trace:
+        raise ValueError("trace has no node for the full graph")
+    for mask, node in trace.items():
+        fault = _node_fault(g.adj, trace, mask, node)
+        if fault is not None:
+            where = sorted(bits(mask))
+            raise ValueError(f"extension hypothesis fails at node {where}: {fault}")
+    crit = trace[g.full_mask]["result"].critical_set
+    return FieldCertificate(critical=crit, critical_f=critical_fvector_of(crit))
 
 
 def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionResult:

@@ -8,7 +8,7 @@ meaningful evidence rather than a tautology.
 from fractions import Fraction
 from itertools import combinations
 
-from indmorse import Graph, SimplicialComplex, UnsupportedGraphError, bits
+from indmorse import Graph, SimplicialComplex, UnsupportedGraphError, bits, is_clique
 
 
 def independent_set_masks(g: Graph) -> set[int]:
@@ -170,6 +170,17 @@ def _node_counts(g: Graph, mask: int, rec) -> tuple[int, ...]:
     while counts and counts[-1] == 0:
         counts.pop()
     return tuple(counts)
+
+
+def verify_peo_reference(g: Graph, order) -> bool:
+    """The PEO condition through ``is_clique``: the later neighbors of each
+    vertex of ``order`` form a clique."""
+    later = g.full_mask
+    for v in order:
+        later &= ~(1 << v)
+        if not is_clique(g, g.adj[v] & later):
+            return False
+    return True
 
 
 def has_induced_long_cycle(g: Graph) -> bool:

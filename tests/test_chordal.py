@@ -18,7 +18,7 @@ from indmorse import (
     verify_peo,
 )
 from indmorse.chordal import _mcs_masked
-from oracles import has_induced_long_cycle, mcs_quadratic
+from oracles import has_induced_long_cycle, mcs_quadratic, verify_peo_reference
 
 from test_graph_core import all_graphs, graphs
 
@@ -41,6 +41,26 @@ def test_verify_peo_examples():
     c4 = standard_graph("cycle", 4)
     for order in itertools.permutations(range(4)):
         assert not verify_peo(c4, order)
+
+
+@st.composite
+def graphs_and_orders(draw):
+    """A random graph or a random chordal graph, with either its MCS order
+    (a PEO exactly when the graph is chordal) or a random permutation."""
+    if draw(st.booleans()):
+        g = draw(graphs(12))
+    else:
+        g = random_chordal(draw(st.integers(1, 16)), draw(st.floats(0, 1)),
+                           draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        return g, maximum_cardinality_search(g)
+    return g, draw(st.permutations(range(g.n)))
+
+
+@given(graphs_and_orders())
+def test_verify_peo_matches_the_clique_reference(case):
+    g, order = case
+    assert verify_peo(g, order) == verify_peo_reference(g, order)
 
 
 def test_verify_peo_rejects_non_permutations():

@@ -15,7 +15,18 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indmorse import chordal, cli, counts, generators, graph_to_json, grid_graph, morse
+from indmorse import (
+    chordal,
+    cli,
+    complexes,
+    counts,
+    generators,
+    graph_to_json,
+    grid_graph,
+    homotopy,
+    matching,
+    morse,
+)
 from indmorse.cli import main
 from test_generators import small_specs
 from test_graph_core import graphs
@@ -380,6 +391,53 @@ def test_one_peo_search_per_run(capsys, p5, c4, monkeypatch):
         calls.clear()
         assert run(capsys, *argv)[0] == want, argv
         assert calls == ["maximum_cardinality_search", "verify_peo"], argv
+
+
+def test_explicit_analyze_builds_no_complex_without_the_oracle(
+    capsys, p5, tmp_path, monkeypatch
+):
+    gpath = str(tmp_path / "grid.json")
+    run(capsys, "gen", "grid", "--m", "2", "--n", "1",
+        "--sizes", "1,2,2,1,1,2", "--out", gpath)
+    mpath = str(tmp_path / "match.json")
+    assert run(capsys, "match", p5, "--pairs", "--out", mpath)[0] == 0
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    wrapped = {
+        name: counted(fn)
+        for name, fn in (
+            ("independence_complex", complexes.independence_complex),
+            ("check_field", matching.check_field),
+        )
+    }
+    for module in (cli, homotopy, morse):
+        for name, wrapper in wrapped.items():
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    # Explicit analyze is certified on the recursion tree; the oracle builds
+    # the complex for homology alone, and verify and compare still check the
+    # field on it.
+    for argv, want in (
+        (("analyze", p5), []),
+        (("analyze", p5, "--driver", "chordal", "--gamma"), []),
+        (("analyze", gpath, "--driver", "grid"), []),
+        (("analyze", gpath), []),
+        (("analyze", p5, "--oracle"), ["independence_complex"]),
+        (("analyze", gpath, "--driver", "grid", "--oracle", "--gamma"),
+         ["independence_complex"]),
+        (("compare", p5), ["independence_complex", "check_field"]),
+        (("compare", gpath), ["independence_complex", "check_field"]),
+        (("verify", p5, mpath), ["independence_complex", "check_field"]),
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert calls == want, argv
 
 
 def test_count_table_filled_once(capsys, tmp_path, monkeypatch):

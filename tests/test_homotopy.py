@@ -4,27 +4,32 @@ import random
 
 import pytest
 
-from indmorse import matching
+from indmorse import homotopy, matching, morse
 from indmorse import (
     ConstructionResult,
     Graph,
     GridSpec,
     HomologyProfile,
     HomotopyType,
+    UnsupportedGraphError,
+    build_auto,
     build_chordal_matching,
     build_grid_matching,
     check_domination_bound,
     classify,
+    classify_tree,
     consistency_with_homology,
     grid_graph,
     homology_integer,
     independence_complex,
     power_graph_cyclic,
+    random_chordal,
     standard_graph,
     verify_acyclic,
     verify_matching,
 )
 from oracles import closure_complex
+from test_generators import small_specs
 
 
 def manual_result(pairs, critical, driver="auto"):
@@ -260,3 +265,63 @@ def test_subtree_intersection_stratum_is_confirmed_by_homology():
         assert consistency_with_homology(h, homology_integer(x)), (seed, h)
         higher += h.kind == "wedge" and any(h.wedge[1:])
     assert higher >= 100
+
+
+def _certified_and_verified(g, build, *args):
+    trace = {}
+    res = build(g, *args, trace=trace)
+    return classify_tree(g, res, trace), classify(independence_complex(g), res)
+
+
+def test_certified_classification_equals_the_verified_one():
+    # Every driver that accepts the graph: chordal and auto on chordal
+    # graphs, grid and auto (when every stage has a simplicial vertex) on
+    # labelled grids.
+    chordal = [random_chordal(1 + seed % 14, (seed % 6) / 5, seed) for seed in range(120)]
+    chordal += [subtree_intersection_graph(5 + seed % 12, seed) for seed in range(60)]
+    for g in chordal:
+        for build in (build_chordal_matching, build_auto):
+            certified, verified = _certified_and_verified(g, build)
+            assert certified == verified
+    grids = 0
+    for spec in list(small_specs(2, 2, 2))[::5]:
+        g = grid_graph(spec)
+        certified, verified = _certified_and_verified(g, build_grid_matching, spec)
+        assert certified == verified
+        try:
+            certified, verified = _certified_and_verified(g, build_auto)
+        except UnsupportedGraphError:
+            continue
+        assert certified == verified
+        grids += 1
+    assert grids > 50
+
+
+def test_certified_classification_builds_the_complex_for_the_path_test(monkeypatch):
+    # With x_u the largest critical 0-simplex instead of the child's
+    # non-maximal one, the tree still satisfies the extension theorem, but
+    # lifted non-maximal cells survive, so tests 1 and 2 can fail.  Only the
+    # descending-path test reads the pairs, so only it needs the complex.
+    monkeypatch.setattr(
+        morse, "_choose_xu",
+        lambda g, mask, child: max(s for s in child.critical_set if s.bit_count() == 1),
+    )
+    # The verified side calls this module's classify, which is not wrapped.
+    verify = homotopy.classify
+    calls = []
+
+    def counted(x, res):
+        calls.append(res)
+        return verify(x, res)
+
+    monkeypatch.setattr(homotopy, "classify", counted)
+    for seed, path_test, kind in (
+        (74, False, "unclassified"),
+        (108, True, "wedge"),
+        (213, True, "unclassified"),
+    ):
+        g = random_chordal(6 + seed % 7, 0.5 + (seed % 5) / 10, seed)
+        calls.clear()
+        certified, verified = _certified_and_verified(g, build_auto)
+        assert certified == verified and certified.kind == kind, seed
+        assert len(calls) == path_test, seed

@@ -51,3 +51,42 @@ def test_readme_states_the_src_line_count():
         for path in (root / "src" / "indmorse").glob("*.py")
     )
     assert int(stated.group(1).replace(",", "")) == lines
+
+
+CONSTRUCTION = {"morse", "matching", "counts", "homotopy"}
+
+
+def _imported_modules(path: Path):
+    """The modules a file imports from; a name imported from the package
+    itself counts as an import from the module that defines it."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.removeprefix("indmorse.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("indmorse.")
+            if module not in ("", "indmorse"):
+                yield module
+                continue
+            for alias in node.names:
+                value = getattr(indmorse, alias.name, None)
+                owner = getattr(value, "__module__", None) or getattr(value, "__name__", "")
+                yield owner.removeprefix("indmorse.")
+
+
+def test_oracles_import_nothing_from_the_construction():
+    root = Path(__file__).resolve().parents[1]
+    for path in (SRC / "homology.py", root / "tests" / "oracles.py"):
+        shared = set(_imported_modules(path)) & CONSTRUCTION
+        assert not shared, f"{path.name} imports from {sorted(shared)}"
+
+
+def test_acceptance_gates_never_name_the_certificate():
+    # A gate that read the construction's own certificate would check the
+    # construction against itself.
+    path = Path(__file__).resolve().parent / "test_acceptance.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set(_references(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not names & {"certify_tree", "classify_tree"}

@@ -1,5 +1,6 @@
 """The recursive matching construction and its three drivers."""
 
+import dataclasses
 import itertools
 import random
 
@@ -15,6 +16,7 @@ from indmorse import (
     build_auto,
     build_chordal_matching,
     build_grid_matching,
+    certify_tree,
     critical_simplices,
     grid_graph,
     independence_complex,
@@ -397,3 +399,93 @@ def test_special_zero_is_a_critical_zero_simplex_or_none():
         else:
             assert res.special_zero.bit_count() == 1
             assert res.special_zero in res.critical_set
+
+
+P5 = standard_graph("path", 5)
+P7 = standard_graph("path", 7)
+# An edge {0, 1} beside a path on 2..6: v = 0, and the child under u = 1 is
+# the path, whose critical cells are one 0-simplex and one 1-simplex.
+EDGE_AND_P5 = Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6)])
+
+
+def _tampered(g, mask=None, critical=None, **entries):
+    """g's auto-driver trace with node ``mask`` (default the root) changed."""
+    trace = {}
+    build_auto(g, trace=trace)
+    mask = g.full_mask if mask is None else mask
+    node = dict(trace[mask], **entries)
+    if critical is not None:
+        node["result"] = dataclasses.replace(
+            node["result"], critical_set=frozenset(critical(trace, node))
+        )
+    trace[mask] = node
+    return trace
+
+
+def _lift_swap(trace, node):
+    # Keep x_1 + 1 and drop the lift of the child's critical 1-simplex.
+    child = trace[node["children"][1]]["result"].critical_set
+    (x1,) = (c for c in child if c.bit_count() == 1)
+    (edge,) = (c for c in child if c.bit_count() == 2)
+    return node["result"].critical_set - {edge | 0b10} | {x1 | 0b10}
+
+
+def _without_child(g):
+    trace = _tampered(g)
+    del trace[trace[g.full_mask]["children"][1]]
+    return trace
+
+
+def test_certificate_accepts_the_builds():
+    for g in (P5, EDGE_AND_P5, GRID11, standard_graph("complete", 3)):
+        trace = {}
+        res = build_auto(g, trace=trace)
+        cert = certify_tree(g, trace)
+        assert cert.ok and cert.critical == res.critical_set
+        assert cert.critical_f == res.critical_f
+    assert certify_tree(standard_graph("empty", 0), {}).critical == frozenset()
+
+
+ROOT = P5.full_mask
+
+
+# Each tampering is at one node: the root, which the post-order trace lists
+# last, the clique {3, 4} under P5's root, or the path {3, ..., 6} under P7's.
+@pytest.mark.parametrize(
+    "g, mask, trace, hypothesis",
+    [
+        (P5, ROOT, _tampered(P5, v=2), "v is not simplicial"),
+        (P5, ROOT, _tampered(P5, v=None), "v is not in the mask"),
+        (P7, 0b1111000, _tampered(P7, mask=0b1111000, v=0), "v is not in the mask"),
+        (P5, ROOT, _tampered(P5, children={1: 0b11100}), "child masks"),
+        (P5, ROOT, _without_child(P5), "child 1 is not a node"),
+        (EDGE_AND_P5, EDGE_AND_P5.full_mask,
+         _tampered(EDGE_AND_P5, critical=_lift_swap),
+         "x_1 is not a critical 0-simplex"),
+        (P5, ROOT,
+         _tampered(P5, critical=lambda t, node: node["result"].critical_set | {0b101}),
+         "the critical set is not the extension's"),
+        (P5, ROOT,
+         _tampered(P5, rule="complete", v=None, children={},
+                   critical=lambda t, node: {1 << w for w in range(5)}),
+         "the mask is not a clique"),
+        (P5, 0b11000, _tampered(P5, mask=0b11000, critical=lambda t, node: {0b1000}),
+         "critical cells are not its singletons"),
+    ],
+)
+def test_certificate_names_the_failing_node(g, mask, trace, hypothesis):
+    with pytest.raises(ValueError) as exc:
+        certify_tree(g, trace)
+    message = str(exc.value)
+    assert message.startswith(
+        f"extension hypothesis fails at node {sorted(bits(mask))}: "
+    )
+    assert hypothesis in message
+
+
+def test_certificate_needs_the_root():
+    trace = {}
+    build_auto(P5, trace=trace)
+    del trace[P5.full_mask]
+    with pytest.raises(ValueError, match="no node for the full graph"):
+        certify_tree(P5, trace)
