@@ -74,7 +74,11 @@ def _renumbered(g: Graph, order) -> Graph:
             row |= new_bit[low.bit_length() - 1]
             old ^= low
         adj.append(row)
-    return Graph(g.n, tuple(adj))
+    # A bijective renumbering of a checked graph keeps its rows symmetric and
+    # in range, so the new graph skips Graph.__post_init__'s checks.
+    renamed = object.__new__(Graph)
+    renamed.__dict__.update(n=g.n, adj=tuple(adj), labels=None)
+    return renamed
 
 
 def _select_lowest(g: Graph, mask: int):

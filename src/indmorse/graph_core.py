@@ -10,8 +10,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-# Explicit complexes grow exponentially in the vertex count; this cap keeps
-# desk-scale runs in memory.  Count-only code paths are not subject to it.
+# Explicit complexes and pair lists grow exponentially in the vertex count;
+# this cap keeps building the complex or reading a result's pairs in memory.
+# The recursion tree itself stays small.  Count-only code paths are not
+# subject to it.
 EXPLICIT_VERTEX_CAP = 32
 # Domination number is found by exhaustive subset search.
 DOMINATION_VERTEX_CAP = 24

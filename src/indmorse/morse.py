@@ -16,11 +16,16 @@ and every lifted sub-critical simplex except the chosen {x_u}.  Three
 drivers run this step to exhaustion: one for chordal graphs (v = head of a
 perfect elimination ordering), one for labeled grid-family graphs (v taken
 from the corner cell), and a generic one (v = smallest simplicial vertex).
+
+A node of the recursion tree assembles only its critical data and stores
+its recipe: v, its mask and, per child, (u, child node, x_u).  Its pairs
+are derived from the recipe on first read and then kept, so a build whose
+caller reads only the critical data enumerates no case-(iii) set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping
 
@@ -39,23 +44,44 @@ from .matching import FieldCertificate, check_field, critical_fvector_of
 Pair = tuple[int, int]
 
 
+class _Pairs:
+    """The ``pairs`` field of a ConstructionResult: kept as given, or, when
+    given as None, derived from the node's recipe on first read and kept."""
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            raise AttributeError("pairs")  # the field has no default
+        pairs = node.__dict__["_pairs"]
+        if pairs is None:
+            pairs = node.__dict__["_pairs"] = _node_pairs(*node.recipe)
+        return pairs
+
+    def __set__(self, node, pairs):
+        node.__dict__["_pairs"] = None if pairs is None else tuple(pairs)
+
+
 @dataclass(frozen=True)
 class ConstructionResult:
-    """An acyclic matching on I(G) together with its critical data.
+    """An acyclic matching on I(G) together with its critical data: a node
+    of the recursion tree.
 
     ``special_zero`` is the one critical 0-simplex that may fail to be
     maximal (the {v} of the outermost extension step); None when every
-    critical simplex is maximal by construction.
+    critical simplex is maximal by construction.  An extension node keeps
+    its ``recipe`` (adj, mask, v, ((u, child, x_u), ...)) and is built
+    with pairs None; its pairs are derived from the recipe on first read.
     """
 
-    pairs: tuple[Pair, ...]
+    pairs: tuple[Pair, ...] | None = _Pairs()
     critical_set: frozenset[int]
     critical_f: tuple[int, ...]
     special_zero: int | None
     driver: str
+    recipe: tuple | None = field(default=None, repr=False, compare=False)
 
-    def total_critical(self) -> int:
-        return len(self.critical_set)
+    def __post_init__(self):
+        if self.__dict__["_pairs"] is None and self.recipe is None:
+            raise ValueError("a result needs its pairs or a recipe")
 
 
 def _check_cap(g: Graph) -> None:
@@ -65,13 +91,14 @@ def _check_cap(g: Graph) -> None:
         )
 
 
-def _result(pairs, critical, special_zero, driver) -> ConstructionResult:
+def _result(pairs, critical, special_zero, driver, recipe=None) -> ConstructionResult:
     return ConstructionResult(
-        pairs=tuple(pairs),
+        pairs=pairs,
         critical_set=frozenset(critical),
         critical_f=critical_fvector_of(critical),
         special_zero=special_zero,
         driver=driver,
+        recipe=recipe,
     )
 
 
@@ -105,12 +132,13 @@ def _scoped_node(
     driver: str,
 ) -> ConstructionResult:
     """The matching on I(G[mask]): the extension step at v with the given
-    children, or, for v None (a complete subgraph), the empty matching."""
+    children, or, for v None (a complete subgraph), the empty matching.
+    Only the critical data is assembled; the pairs wait in the recipe."""
     if v is None:
         return _result([], [1 << u for u in bits(mask)], None, driver)
     bit_v = 1 << v
-    pairs: list[Pair] = []
     critical: list[int] = [bit_v]
+    steps = []
     for u in bits(g.adj[v] & mask):
         bit_u = 1 << u
         mask_u = mask & ~(g.adj[u] | bit_u)
@@ -120,16 +148,28 @@ def _scoped_node(
             continue
         child = children[u]
         xu = _choose_xu(g, mask_u, child)
+        steps.append((u, child, xu))
+        for c in child.critical_set:
+            if c != xu:
+                critical.append(c | bit_u)
+    return _result(None, critical, bit_v, driver, (g.adj, mask, v, tuple(steps)))
+
+
+def _node_pairs(adj, mask: int, v: int, steps) -> tuple[Pair, ...]:
+    """The pairs of an extension node's recipe: the lifts of each child's
+    pairs (case i), ({u}, {u, x_u}) (case ii), then (alpha, alpha + v) over
+    I(G[mask - N[v]]) (case iii)."""
+    bit_v = 1 << v
+    pairs: list[Pair] = []
+    for u, child, xu in steps:
+        bit_u = 1 << u
         for a, b in child.pairs:
             if a:
                 pairs.append((a | bit_u, b | bit_u))
         pairs.append((bit_u, bit_u | xu))
-        for c in child.critical_set:
-            if c != xu:
-                critical.append(c | bit_u)
-    rest = mask & ~(g.adj[v] | bit_v)
-    pairs += [(a, a | bit_v) for a in _independent_sets(g.adj, rest)]
-    return _result(pairs, critical, bit_v, driver)
+    rest = mask & ~(adj[v] | bit_v)
+    pairs += [(a, a | bit_v) for a in _independent_sets(adj, rest)]
+    return tuple(pairs)
 
 
 def match_isolated(g: Graph, v: int) -> ConstructionResult:
@@ -299,8 +339,11 @@ def _node_fault(adj, trace: dict, mask: int, node: dict) -> str | None:
     are critical.  Any other node has v in its mask and N(v) & mask a
     clique; its children are the nonempty mask - N[u] over u in N(v) & mask,
     each a node; its critical set is {v}, the {u} with no child, and the
-    lifts c + u of child u's critical cells but one 0-simplex x_u."""
-    crit, v = node["result"].critical_set, node["v"]
+    lifts c + u of child u's critical cells but one 0-simplex x_u.  Its
+    recipe, from which its pairs derive, names the same v, the child nodes
+    and the dropped x_u."""
+    result, v = node["result"], node["v"]
+    crit = result.critical_set
     if node["rule"] == "complete":
         if any(mask & ~(adj[w] | 1 << w) for w in bits(mask)):
             return "the mask is not a clique"
@@ -312,6 +355,9 @@ def _node_fault(adj, trace: dict, mask: int, node: dict) -> str | None:
     nv = adj[v] & mask
     if any(nv & ~(adj[u] | 1 << u) for u in bits(nv)):
         return "v is not simplicial"
+    if result.recipe is None or result.recipe[:3] != (adj, mask, v):
+        return "the recipe is not this node's extension step"
+    steps = {u: (child, xu) for u, child, xu in result.recipe[3]}
     expected, children = {1 << v}, {}
     for u in bits(nv):
         mask_u = mask & ~(adj[u] | 1 << u)
@@ -321,13 +367,20 @@ def _node_fault(adj, trace: dict, mask: int, node: dict) -> str | None:
         children[u] = mask_u
         if mask_u not in trace:
             return f"child {u} is not a node"
-        lifts = {c | 1 << u for c in trace[mask_u]["result"].critical_set}
+        child = trace[mask_u]["result"]
+        lifts = {c | 1 << u for c in child.critical_set}
         dropped = lifts - crit  # {x_u + u}
-        if len(dropped) != 1 or dropped.pop().bit_count() != 2:
+        if len(dropped) != 1 or next(iter(dropped)).bit_count() != 2:
             return f"x_{u} is not a critical 0-simplex of child {u}"
+        if steps.get(u, (None,))[0] is not child:
+            return f"the recipe's child {u} is not the node of mask - N[{u}]"
+        if {steps[u][1] | 1 << u} != dropped:
+            return f"the recipe's x_{u} is not the critical 0-simplex dropped"
         expected |= lifts
     if node["children"] != children:
         return "the child masks are not mask - N[u] over u in N(v)"
+    if steps.keys() != children.keys():
+        return "the recipe has a step for no child"
     # Lifts through distinct u are disjoint, so this is crit equal to
     # expected without the x_u + u.
     if len(crit) != len(expected) - len(children) or not crit <= expected:
@@ -338,9 +391,10 @@ def _node_fault(adj, trace: dict, mask: int, node: dict) -> str | None:
 def certify_tree(g: Graph, trace: dict) -> FieldCertificate:
     """Certify a build by the extension theorem: its local hypotheses hold
     at every node of the build's trace (O(nodes * n) bit operations), so the
-    root's matching is acyclic with the returned critical set.  The pair
-    list itself is left to check_field.  Raises ValueError naming the first
-    node that fails and the hypothesis."""
+    root's matching is acyclic with the returned critical set.  The recipes
+    are checked too, so pairs derived from them are the theorem's; pairs
+    given explicitly are left to check_field.  Raises ValueError naming the
+    first node that fails and the hypothesis."""
     if g.n == 0:
         return FieldCertificate()
     if g.full_mask not in trace:

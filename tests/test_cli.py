@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -26,6 +27,8 @@ from indmorse import (
     homotopy,
     matching,
     morse,
+    random_chordal,
+    standard_graph,
 )
 from indmorse.cli import main
 from test_generators import small_specs
@@ -438,6 +441,51 @@ def test_explicit_analyze_builds_no_complex_without_the_oracle(
         calls.clear()
         assert run(capsys, *argv)[0] == 0, argv
         assert calls == want, argv
+
+
+def test_explicit_analyze_enumerates_no_pairs(capsys, p5, tmp_path, monkeypatch):
+    gpath = str(tmp_path / "grid.json")
+    run(capsys, "gen", "grid", "--m", "2", "--n", "1",
+        "--sizes", "1,2,2,1,1,2", "--out", gpath)
+    enumerations = []
+    independent_sets = morse._independent_sets
+
+    def counted(adj, mask):
+        enumerations.append(mask)
+        return independent_sets(adj, mask)
+
+    monkeypatch.setattr(morse, "_independent_sets", counted)
+    # Pairs are derived from the recursion tree on first read, and explicit
+    # analyze reads only the critical data.
+    for argv in (
+        ("analyze", p5),
+        ("analyze", p5, "--driver", "chordal", "--gamma"),
+        ("analyze", gpath, "--driver", "grid"),
+        ("analyze", gpath),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert enumerations == []
+    assert run(capsys, "match", p5, "--pairs")[0] == 0
+    assert enumerations
+
+
+def test_explicit_analyze_memory_is_the_tree(capsys, tmp_path):
+    # A cone with 2.35M faces and path-32 at the vertex cap (5.7M faces):
+    # the recursion tree is a few kB.
+    for name, g, homotopy in (
+        ("cone", random_chordal(24, 0.35, 3), "collapsible"),
+        ("path", standard_graph("path", 32), {"wedge": [0] * 10 + [1]}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(graph_to_json(g)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, report, _ = run_json(capsys, "analyze", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["homotopy"] == homotopy, name
+        assert peak < 4 * 2**20, (name, peak)
 
 
 def test_count_table_filled_once(capsys, tmp_path, monkeypatch):

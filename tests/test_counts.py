@@ -163,6 +163,31 @@ def test_chordal_count_policy_does_not_scan(monkeypatch):
     assert got.value.vertices == (3, 4, 5, 6)
 
 
+def test_renumbering_matches_a_checked_graph(monkeypatch):
+    # The renumbering of a checked graph is not checked again, and is the
+    # graph the checked constructor gives for its rows.
+    checks = []
+    post_init = Graph.__post_init__
+
+    def counted(g):
+        checks.append(g)
+        post_init(g)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    for seed in range(30):
+        g = random_chordal(1 + seed % 12, (seed % 5) / 4, seed)
+        order = random.Random(seed).sample(range(g.n), g.n)
+        checks.clear()
+        renamed = counts._renumbered(g, order)
+        assert checks == []
+        assert renamed == Graph(g.n, renamed.adj) and len(checks) == 1
+        assert all(
+            renamed.adj[i] >> j & 1 == g.adj[v] >> w & 1
+            for i, v in enumerate(order)
+            for j, w in enumerate(order)
+        )
+
+
 def test_recursive_counts_match_grid_construction():
     spec = GridSpec.of(2, 2, [[1] * 3] * 3)
     g = grid_graph(spec)

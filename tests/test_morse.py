@@ -11,6 +11,7 @@ from indmorse import (
     ConstructionResult,
     Graph,
     GridSpec,
+    SimplicialComplex,
     UnsupportedGraphError,
     bits,
     build_auto,
@@ -24,6 +25,7 @@ from indmorse import (
     match_complete,
     match_isolated,
     extend_matching,
+    morse,
     power_graph_cyclic,
     random_chordal,
     standard_graph,
@@ -34,6 +36,8 @@ from indmorse import (
 from indmorse.morse import _grid_selector, _select_auto
 
 from oracles import grid_rectangle_trace
+from test_generators import small_specs
+from test_homotopy import subtree_intersection_graph
 
 GRID11 = grid_graph(GridSpec.of(1, 1, [[1, 1], [1, 1]]))
 
@@ -274,6 +278,56 @@ def test_vertex_cap_on_builders():
         build_auto(big)
 
 
+def _builds_with_every_driver():
+    """(graph, build) over random chordal graphs, subtree intersection
+    graphs and labelled grids, with every driver that accepts each."""
+    for seed in range(40):
+        g = random_chordal(1 + seed % 11, (seed % 5) / 4, seed)
+        yield g, build_chordal_matching
+        yield g, build_auto
+    for seed in range(15):
+        g = subtree_intersection_graph(6 + seed % 6, seed)
+        yield g, build_chordal_matching
+        yield g, build_auto
+    for spec in itertools.islice(small_specs(2, 2, 2), 0, None, 9):
+        g = grid_graph(spec)
+        yield g, lambda g, trace, spec=spec: build_grid_matching(g, spec, trace)
+        yield g, build_auto
+
+
+def test_pairs_are_derived_on_first_read_at_every_node(monkeypatch):
+    enumerations = []
+    independent_sets = morse._independent_sets
+
+    def counted(adj, mask):
+        enumerations.append(mask)
+        return independent_sets(adj, mask)
+
+    monkeypatch.setattr(morse, "_independent_sets", counted)
+    built = 0
+    for g, build in _builds_with_every_driver():
+        trace = {}
+        try:
+            build(g, trace=trace)
+        except UnsupportedGraphError:
+            continue
+        built += 1
+        # The build assembles critical data only.
+        assert enumerations == []
+        faces = independence_complex(g).faces
+        for mask, node in trace.items():
+            x = SimplicialComplex(g.n, frozenset(f for f in faces if not f & ~mask))
+            res = node["result"]
+            assert verify_matching(x, res.pairs) and verify_acyclic(x, res.pairs)
+            crit, fvec = critical_simplices(x, res.pairs)
+            assert crit == res.critical_set and fvec == res.critical_f
+        # Each extension node's pairs are derived once, however many
+        # parents share it.
+        assert len(enumerations) == sum(nd["rule"] != "complete" for nd in trace.values())
+        enumerations.clear()
+    assert built > 150
+
+
 def test_cross_driver_equality_when_heads_agree():
     agreements = 0
     for seed in range(60):
@@ -436,6 +490,33 @@ def _without_child(g):
     return trace
 
 
+def _restepped(g, mask, u, **step):
+    """g's auto-driver trace with the recipe step for u at node ``mask``
+    changed or added: its child node or its x_u."""
+    trace = {}
+    build_auto(g, trace=trace)
+    res = trace[mask]["result"]
+    steps = {w: {"child": child, "xu": xu} for w, child, xu in res.recipe[3]}
+    steps[u] = dict(steps.get(u, {}), **step)
+    listed = tuple((w, s["child"], s["xu"]) for w, s in sorted(steps.items()))
+    recipe = (*res.recipe[:3], listed)
+    trace[mask] = dict(trace[mask], result=dataclasses.replace(res, recipe=recipe))
+    return trace
+
+
+def _swapped(g, mask, other):
+    """g's auto-driver trace with node ``mask`` holding node ``other``'s result."""
+    trace = {}
+    build_auto(g, trace=trace)
+    trace[mask] = dict(trace[mask], result=trace[other]["result"])
+    return trace
+
+
+# The edge {0, 1} beside the edge {2, 3}: v = 0, and the child under u = 1
+# is the clique {2, 3}, with two critical 0-simplices.
+TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
+
+
 def test_certificate_accepts_the_builds():
     for g in (P5, EDGE_AND_P5, GRID11, standard_graph("complete", 3)):
         trace = {}
@@ -471,6 +552,21 @@ ROOT = P5.full_mask
          "the mask is not a clique"),
         (P5, 0b11000, _tampered(P5, mask=0b11000, critical=lambda t, node: {0b1000}),
          "critical cells are not its singletons"),
+        # P7's root v = 0 holds the recipe of {3, ..., 6}, whose v is 3.
+        (P7, P7.full_mask, _swapped(P7, P7.full_mask, 0b1111000),
+         "the recipe is not this node's extension step"),
+        # P5's root v = 0 has the one child under u = 1.
+        (P5, ROOT,
+         _restepped(P5, ROOT, 2, child=match_complete(standard_graph("complete", 1)), xu=1),
+         "the recipe has a step for no child"),
+        # x_1 = {2} is dropped from the critical set; the recipe names {3}.
+        (TWO_EDGES, 0b1111, _restepped(TWO_EDGES, 0b1111, 1, xu=0b1000),
+         "the recipe's x_1 is not the critical 0-simplex dropped"),
+        # The child of {3, ..., 6} under u = 4 is {6}; the cone on 6 over
+        # 0, ..., 5 has the same critical cells and other pairs.
+        (P7, 0b1111000,
+         _restepped(P7, 0b1111000, 4, child=match_isolated(standard_graph("empty", 7), 6)),
+         "the recipe's child 4 is not the node of mask - N[4]"),
     ],
 )
 def test_certificate_names_the_failing_node(g, mask, trace, hypothesis):
