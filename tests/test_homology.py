@@ -1,10 +1,14 @@
-"""The integer homology oracle, its boundary columns, and the exhaustive
-matching search."""
+"""The integer homology oracle, its boundary columns, its coreduction pass,
+and the exhaustive matching search."""
+
+import itertools
+import random
 
 import pytest
 
 from indmorse import (
     CapabilityError,
+    Graph,
     HomologyProfile,
     SimplicialComplex,
     build_chordal_matching,
@@ -17,27 +21,59 @@ from indmorse import (
     random_chordal,
     standard_graph,
 )
-from indmorse.homology import _columns_of, _rank_and_factors, _smith_diagonal_dense
+from indmorse.homology import (
+    _columns_of,
+    _coreduce,
+    _rank_and_factors,
+    _smith_diagonal_dense,
+)
 from oracles import betti_rational, closure_complex
 
+from test_acceptance import iter_chordal_corpus, iter_grid_specs
 from test_graph_core import all_graphs
 
 # Minimal 6-vertex triangulation of the real projective plane: 10 facets,
 # every edge in exactly two of them; H_1 = Z/2.
-RP2 = closure_complex(6, [19, 35, 13, 37, 25, 14, 22, 42, 52, 56])
+RP2_FACETS = [19, 35, 13, 37, 25, 14, 22, 42, 52, 56]
+RP2 = closure_complex(6, RP2_FACETS)
+
+
+def boundary(x, d):
+    """The full d-th boundary matrix of x, one column per d-simplex."""
+    return _columns_of(x.simplices_of_dim(d), x.simplices_of_dim(d - 1))
+
+
+def homology_unreduced(x) -> HomologyProfile:
+    """Integer homology by elimination over every simplex, with no pass in
+    front: beta_d = f_d - rank d_d - rank d_(d+1)."""
+    top = x.dim()
+    ranks = [0] * (top + 2)
+    nontrivial = [False] * (top + 2)
+    for d in range(1, top + 1):
+        ranks[d], factors = _rank_and_factors(
+            boundary(x, d), len(x.simplices_of_dim(d - 1))
+        )
+        nontrivial[d] = bool(factors)
+    return HomologyProfile(
+        tuple(
+            len(x.simplices_of_dim(d)) - ranks[d] - ranks[d + 1]
+            for d in range(top + 1)
+        ),
+        tuple(not nontrivial[d + 1] for d in range(top + 1)),
+    )
 
 
 def test_boundary_matrix_of_p3():
     x = independence_complex(standard_graph("path", 3))
     assert x.simplices_of_dim(0) == (1, 2, 4) and x.simplices_of_dim(1) == (5,)
-    assert _columns_of(x, 1) == [{2: 1, 0: -1}]
+    assert boundary(x, 1) == [{2: 1, 0: -1}]
 
 
 def test_boundary_columns_have_abs_sum_dim_plus_one():
     for g in all_graphs(4):
         x = independence_complex(g)
         for d in range(1, x.dim() + 1):
-            cols = _columns_of(x, d)
+            cols = boundary(x, d)
             assert len(cols) == len(x.simplices_of_dim(d))
             for col in cols:
                 assert set(col.values()) <= {1, -1}
@@ -47,8 +83,8 @@ def test_boundary_columns_have_abs_sum_dim_plus_one():
 def test_boundary_composition_vanishes():
     for x in (RP2, independence_complex(standard_graph("cycle", 5))):
         for d in range(2, x.dim() + 1):
-            lo = _columns_of(x, d - 1)
-            for col in _columns_of(x, d):
+            lo = boundary(x, d - 1)
+            for col in boundary(x, d):
                 prod: dict[int, int] = {}
                 for r, val in col.items():
                     for r2, val2 in lo[r].items():
@@ -78,6 +114,70 @@ def test_homology_integer_detects_projective_plane_torsion():
     prof = homology_integer(RP2)
     assert prof.betti == (1, 0, 0)
     assert prof.torsion_free == (True, False, True)
+
+
+def test_coreduction_matches_unreduced_elimination():
+    grids = [
+        independence_complex(grid_graph(spec))
+        for spec in itertools.islice(iter_grid_specs(), 0, None, 50)
+    ]
+    others = [
+        independence_complex(g)
+        for g in itertools.islice(iter_chordal_corpus(), 0, None, 10)
+    ]
+    rng = random.Random(2009)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        others.append(independence_complex(Graph.from_edges(n, edges)))
+    # An isolated lowest vertex, a circle, an edge and another isolated point.
+    components = closure_complex(
+        7, [0b1, 0b110, 0b1100, 0b1010, 0b110000, 0b1000000]
+    )
+    assert homology_integer(components) == HomologyProfile((4, 1), (True, True))
+    others += [
+        RP2,
+        components,
+        SimplicialComplex(0, frozenset({0})),
+        SimplicialComplex(1, frozenset({0, 1})),
+    ]
+    for x in grids + others:
+        assert homology_integer(x) == homology_unreduced(x)
+    # A grid's bottom cell is adjacent to every other cell, so vertex 0 is an
+    # isolated point of its complex: pairing it with the empty simplex frees
+    # nothing, and the pass goes on only by restarting at a free vertex.
+    cells = survivors = 0
+    for x in grids:
+        left, _ = _coreduce(x)
+        cells += len(x.faces) - 1
+        survivors += sum(map(len, left))
+    assert survivors < cells / 2
+
+
+def test_torsion_survives_coreduction():
+    apexes = (1 << 6, 1 << 7)
+    suspension = closure_complex(8, [f | a for f in RP2_FACETS for a in apexes])
+    cone = closure_complex(7, [f | 1 << 6 for f in RP2_FACETS])
+    assert homology_integer(suspension) == HomologyProfile(
+        (1, 0, 0, 0), (True, True, False, True)
+    )
+    assert homology_integer(cone) == HomologyProfile((1, 0, 0, 0), (True,) * 4)
+    for x in (suspension, cone):
+        assert homology_integer(x) == homology_unreduced(x)
+
+
+def test_cycles_match_kozlov():
+    # Ind(C_n) is a wedge of two (k-1)-spheres for n = 3k, S^(k-1) for
+    # n = 3k + 1 and S^k for n = 3k + 2 (Kozlov).
+    for n in range(3, 16):
+        k, r = divmod(n, 3)
+        sphere, copies = ((k - 1, 2), (k - 1, 1), (k, 1))[r]
+        x = independence_complex(standard_graph("cycle", n))
+        betti = [1] + [0] * x.dim()
+        betti[sphere] += copies
+        assert homology_integer(x) == HomologyProfile(
+            tuple(betti), (True,) * len(betti)
+        )
 
 
 def test_integer_betti_agrees_with_rational_oracle():
