@@ -17,7 +17,7 @@ from itertools import zip_longest
 
 from .chordal import _peo
 from .generators import GridSpec
-from .graph_core import Graph
+from .graph_core import Graph, _graph_of_rows
 from .morse import _recurse, _select_auto
 
 
@@ -75,10 +75,8 @@ def _renumbered(g: Graph, order) -> Graph:
             old ^= low
         adj.append(row)
     # A bijective renumbering of a checked graph keeps its rows symmetric and
-    # in range, so the new graph skips Graph.__post_init__'s checks.
-    renamed = object.__new__(Graph)
-    renamed.__dict__.update(n=g.n, adj=tuple(adj), labels=None)
-    return renamed
+    # in range.
+    return _graph_of_rows(g.n, tuple(adj))
 
 
 def _select_lowest(g: Graph, mask: int):

@@ -125,7 +125,7 @@ class Graph:
             for cell in lab:
                 if not (len(cell) == 2 and type(cell[0]) is int and type(cell[1]) is int):
                     raise ValueError(f"malformed label {list(cell)!r}")
-        return Graph(n, tuple(adj), lab)
+        return _graph_of_rows(n, tuple(adj), lab)
 
     @property
     def full_mask(self) -> int:
@@ -137,6 +137,18 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range")
+
+
+def _graph_of_rows(n: int, adj: tuple[int, ...], labels=None) -> Graph:
+    """A Graph on rows in range, loop-free and symmetric by construction (as
+    from_edges sets them): only the vertex count and labels are checked."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if labels is not None and len(labels) != n:
+        raise ValueError("labels length does not match vertex count")
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, adj=adj, labels=labels)
+    return g
 
 
 def closed_neighborhood(g: Graph, v: int) -> int:

@@ -198,7 +198,7 @@ def _smith_diagonal_dense(mat: list[list[int]]) -> list[int]:
     return out
 
 
-def _rank_and_factors(cols: list[dict[int, int]], nrows: int) -> tuple[int, list[int]]:
+def _rank_and_factors(cols: list[dict[int, int]]) -> tuple[int, list[int]]:
     """Rank over the integers plus all nontrivial invariant factors.
 
     Sparse elimination with unit pivots chosen by a low-fill heuristic; any
@@ -283,9 +283,7 @@ def homology_integer(x: SimplicialComplex) -> HomologyProfile:
     ranks = [0] * (top + 2)
     nontrivial = [False] * (top + 2)
     for d in range(1, top + 1):
-        rank, factors = _rank_and_factors(
-            _columns_of(survivors[d], survivors[d - 1]), len(survivors[d - 1])
-        )
+        rank, factors = _rank_and_factors(_columns_of(survivors[d], survivors[d - 1]))
         ranks[d] = rank
         nontrivial[d] = bool(factors)
     betti = [len(survivors[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]

@@ -5,6 +5,14 @@ A matching is a collection of Hasse-edge pairs (alpha, beta) with
 dim(beta) = dim(alpha) + 1; the empty simplex may appear as an alpha.  A
 nonempty simplex is critical when it is unpaired or paired with the empty
 simplex.
+
+Every check reads check_field's certificate.  For a tuple of tuples, as a
+ConstructionResult's pairs always are, it is kept in the complex's instance
+dict with that tuple, so one (complex, pairs) is checked once.  Keying by
+identity is safe: the complex and the tuple cannot change, and the kept
+reference stops the tuple's id from passing to another object.  A list, or
+a tuple of lists, is checked on every call.  The certificate is read off
+the faces and the pairs alone, never off a recipe or a trace.
 """
 
 from __future__ import annotations
@@ -49,11 +57,10 @@ def check_matching(x: SimplicialComplex, pairs: Sequence[Pair]):
 
 def verify_matching(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
     """True iff all pairs are Hasse edges of x and no simplex is reused."""
-    ok, _ = check_matching(x, pairs)
-    return ok
+    return check_field(x, pairs).error is None
 
 
-def _alternating_cycle(up: dict[int, int]) -> list[int] | None:
+def _alternating_cycle(up: dict[int, int]) -> tuple[int, ...] | None:
     """Layered cycle search on the upward pair map; None when acyclic.
 
     Reversed-edge cycles can only alternate between two consecutive
@@ -100,7 +107,7 @@ def _alternating_cycle(up: dict[int, int]) -> list[int] | None:
                         out = []
                         for a in cycle:
                             out.extend((a, up[a]))
-                        return out[: 2 * len(cycle) - 1]
+                        return tuple(out[: 2 * len(cycle) - 1])
                     if color.get(a2) is None:
                         color[a2] = 1
                         parent[a2] = node
@@ -118,12 +125,10 @@ def check_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]):
 
     A reported cycle is the alternating simplex sequence [a0, b0, a1, ..., a0].
     """
-    ok, message = check_matching(x, pairs)
-    if not ok:
-        raise ValueError(message)
-    up, _ = _pair_maps(pairs)
-    cycle = _alternating_cycle(up)
-    return cycle is None, cycle
+    cert = check_field(x, pairs)
+    if cert.error is not None:
+        raise ValueError(cert.error)
+    return cert.cycle is None, cert.cycle
 
 
 def verify_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
@@ -132,39 +137,29 @@ def verify_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
     return ok
 
 
-def _critical_of(x: SimplicialComplex, up: dict[int, int], down: dict[int, int]):
-    crit = frozenset(
-        s
-        for s in x.faces
-        if s and (s not in up and (s not in down or down[s] == 0))
-    )
-    return crit, critical_fvector_of(crit)
-
-
 def critical_simplices(x: SimplicialComplex, pairs: Sequence[Pair]):
     """The critical simplices and their counts per dimension.
 
     Returns (set, fvec) where fvec drops trailing zero dimensions.
     """
-    ok, message = check_matching(x, pairs)
-    if not ok:
-        raise ValueError(message)
-    up, down = _pair_maps(pairs)
-    return _critical_of(x, up, down)
+    cert = check_field(x, pairs)
+    if cert.error is not None:
+        raise ValueError(cert.error)
+    return cert.critical, cert.critical_f
 
 
 @dataclass(frozen=True)
 class FieldCertificate:
     """Outcome of one validation pass over a matching (see check_field).
 
-    ``error`` is check_matching's message for an invalid matching; ``cycle``
-    is check_acyclic's alternating-cycle witness for a valid but cyclic one.
-    When both are None the field is an acyclic matching, and ``critical`` /
-    ``critical_f`` hold what critical_simplices would return.
+    ``error`` is check_matching's message for an invalid matching, and then
+    nothing else is set.  For a valid matching, ``cycle`` is an
+    alternating-cycle witness (None when acyclic), and ``critical`` /
+    ``critical_f`` hold what critical_simplices returns.
     """
 
     error: str | None = None
-    cycle: list[int] | None = None
+    cycle: tuple[int, ...] | None = None
     critical: frozenset[int] = frozenset()
     critical_f: tuple[int, ...] = ()
 
@@ -176,19 +171,26 @@ class FieldCertificate:
 def check_field(x: SimplicialComplex, pairs: Sequence[Pair]) -> FieldCertificate:
     """Validate a gradient field once: matching, acyclicity, critical data.
 
-    Equivalent to check_matching, then check_acyclic, then
-    critical_simplices, with the matching checked and the pair maps built
-    a single time.
+    Runs check_matching and, on a valid matching, builds the pair maps once
+    for the cycle search and the critical simplices.  A tuple of tuples
+    gets its certificate kept on x (see the module docstring).
     """
+    held = x.__dict__.get("_field_certificate")
+    if held is not None and held[0] is pairs:
+        return held[1]
     ok, message = check_matching(x, pairs)
-    if not ok:
-        return FieldCertificate(error=message)
-    up, down = _pair_maps(pairs)
-    cycle = _alternating_cycle(up)
-    if cycle is not None:
-        return FieldCertificate(cycle=cycle)
-    crit, fvec = _critical_of(x, up, down)
-    return FieldCertificate(critical=crit, critical_f=fvec)
+    if ok:
+        up, down = _pair_maps(pairs)
+        # Unpaired, or paired with the empty simplex.
+        crit = frozenset(s for s in x.faces if s and s not in up and not down.get(s, 0))
+        cert = FieldCertificate(
+            None, _alternating_cycle(up), crit, critical_fvector_of(crit)
+        )
+    else:
+        cert = FieldCertificate(error=message)
+    if type(pairs) is tuple and all(type(p) is tuple for p in pairs):
+        x.__dict__["_field_certificate"] = (pairs, cert)
+    return cert
 
 
 def critical_fvector_of(critical: Iterable[int]) -> tuple[int, ...]:

@@ -18,10 +18,13 @@ from indmorse import (
     induced_delete,
     is_clique,
     is_simplicial,
+    power_graph_cyclic,
+    random_chordal,
     standard_graph,
     universal_vertices,
 )
 from oracles import domination_number_scan
+from test_generators import small_specs
 
 P3 = standard_graph("path", 3)
 P4 = standard_graph("path", 4)
@@ -67,6 +70,32 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 1)], labels=[(0, 0)])
+
+
+def assert_checked(g):
+    # from_edges skips the row scan; the checked constructor must accept
+    # its rows and give an equal graph.
+    assert g == Graph(g.n, g.adj, g.labels)
+
+
+def test_from_edges_equals_the_checked_graph():
+    families = [grid_graph(spec) for spec in small_specs(2, 2, 2)]
+    families += [power_graph_cyclic(p, q, m, n) for p, q in ((2, 3), (3, 5))
+                 for m in range(3) for n in range(2)]
+    families += [random_chordal(1 + s % 16, (s % 6) / 5, s) for s in range(60)]
+    families += [standard_graph(kind, n) for kind in ("path", "cycle", "complete", "empty")
+                 for n in range(3 if kind == "cycle" else 0, 9)]
+    for g in families:
+        assert_checked(g)
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="^labels length does not match vertex count$"):
+        Graph.from_edges(2, [(0, 1)], labels=[(0, 0)])
+
+
+@given(graphs())
+def test_from_edges_equals_the_checked_graph_on_fuzz_graphs(g):
+    assert_checked(g)
 
 
 def test_closed_neighborhood_examples():

@@ -50,9 +50,7 @@ def homology_unreduced(x) -> HomologyProfile:
     ranks = [0] * (top + 2)
     nontrivial = [False] * (top + 2)
     for d in range(1, top + 1):
-        ranks[d], factors = _rank_and_factors(
-            boundary(x, d), len(x.simplices_of_dim(d - 1))
-        )
+        ranks[d], factors = _rank_and_factors(boundary(x, d))
         nontrivial[d] = bool(factors)
     return HomologyProfile(
         tuple(
@@ -192,11 +190,11 @@ def test_smith_normal_form_dense_fallback():
     assert _smith_diagonal_dense([[0, 0], [0, 0]]) == []
     assert _smith_diagonal_dense([[6]]) == [6]
     assert _smith_diagonal_dense([[2, 0], [0, 3]]) == [1, 6]
-    rank, factors = _rank_and_factors([{0: 2, 1: 6}, {0: 4, 1: 8}], 2)
+    rank, factors = _rank_and_factors([{0: 2, 1: 6}, {0: 4, 1: 8}])
     assert rank == 2 and factors == [2, 4]
-    rank, factors = _rank_and_factors([{0: 1, 1: 1}, {0: 1, 1: -1}], 2)
+    rank, factors = _rank_and_factors([{0: 1, 1: 1}, {0: 1, 1: -1}])
     assert rank == 2 and factors == [2]
-    rank, factors = _rank_and_factors([{0: 1}, {1: -1}], 2)
+    rank, factors = _rank_and_factors([{0: 1}, {1: -1}])
     assert rank == 2 and factors == []
 
 

@@ -74,8 +74,9 @@ def _imported_modules(path: Path):
 
 
 def test_oracles_import_nothing_from_the_construction():
+    # complexes.py holds the faces and the maximality test every gate reads.
     root = Path(__file__).resolve().parents[1]
-    for path in (SRC / "homology.py", root / "tests" / "oracles.py"):
+    for path in (SRC / "homology.py", SRC / "complexes.py", root / "tests" / "oracles.py"):
         shared = set(_imported_modules(path)) & CONSTRUCTION
         assert not shared, f"{path.name} imports from {sorted(shared)}"
 
@@ -90,3 +91,17 @@ def test_acceptance_gates_never_name_the_certificate():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
     assert not names & {"certify_tree", "classify_tree"}
+
+
+def test_only_matching_names_the_certificate_slot():
+    # check_field keeps its certificate in the complex's instance dict; code
+    # elsewhere that named the slot could fill it without the checks.
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(SRC.glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    naming = {
+        path.name
+        for path in files
+        if path.name != Path(__file__).name
+        and "_field_certificate" in path.read_text(encoding="utf-8")
+    }
+    assert naming == {"matching.py"}

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
+from indmorse import matching
 from indmorse import (
+    ConstructionResult,
+    HomotopyType,
+    SimplicialComplex,
+    classify,
     extend_matching,
     build_chordal_matching,
     check_acyclic,
@@ -16,6 +21,7 @@ from indmorse import (
     generalized_vpath_reachable,
     hasse_edges,
     independence_complex,
+    is_maximal,
     match_isolated,
     random_chordal,
     standard_graph,
@@ -24,6 +30,7 @@ from indmorse import (
     Graph,
 )
 from oracles import acyclic_by_reachability, closure_complex
+from test_homotopy import subtree_intersection_graph
 
 P3 = standard_graph("path", 3)
 XP3 = independence_complex(P3)
@@ -179,3 +186,102 @@ def test_construction_satisfies_euler_and_pointwise_bounds():
         euler = sum((-1) ** d * c for d, c in enumerate(fv))
         euler_crit = sum((-1) ** d * c for d, c in enumerate(pad))
         assert euler == euler_crit
+
+
+def count_passes(monkeypatch):
+    """Count the raw matching checks and cycle searches from now on."""
+    calls = {"check_matching": 0, "_alternating_cycle": 0}
+    for name in calls:
+        raw = getattr(matching, name)
+
+        def counted(*args, _name=name, _raw=raw):
+            calls[_name] += 1
+            return _raw(*args)
+
+        monkeypatch.setattr(matching, name, counted)
+    return calls
+
+
+def answers(x, pairs):
+    """What each check says about pairs on x, errors included."""
+    out = [verify_matching(x, pairs)]
+    for check in (check_acyclic, critical_simplices):
+        try:
+            out.append(check(x, pairs))
+        except ValueError as err:
+            out.append(str(err))
+    return out
+
+
+def test_gate_sequence_checks_one_field_once(monkeypatch):
+    g = subtree_intersection_graph(12, 9)
+    res = build_chordal_matching(g)
+    x = independence_complex(g)
+    calls = count_passes(monkeypatch)
+    assert verify_matching(x, res.pairs) and verify_acyclic(x, res.pairs)
+    assert all(s == res.special_zero or is_maximal(x, s) for s in res.critical_set)
+    assert classify(x, res) == HomotopyType("wedge", (2, 15))
+    assert critical_simplices(x, res.pairs) == (res.critical_set, res.critical_f)
+    assert calls == {"check_matching": 1, "_alternating_cycle": 1}
+
+
+def test_kept_certificate_answers_only_its_own_tuple(monkeypatch):
+    g = subtree_intersection_graph(12, 9)
+    res = build_chordal_matching(g)
+    x = independence_complex(g)
+    assert verify_matching(x, res.pairs)
+    a, b = next(p for p in res.pairs if p[0])
+    variants = [
+        tuple(list(res.pairs)),
+        list(res.pairs),
+        tuple(list(p) for p in res.pairs),
+        tuple(p for p in res.pairs if p != (a, b)),
+        res.pairs + ((a, b),),
+    ]
+    assert variants[0] == res.pairs and variants[0] is not res.pairs
+    calls = count_passes(monkeypatch)
+    for pairs in variants:
+        fresh = SimplicialComplex(x.n, x.faces)
+        assert answers(x, pairs) == answers(fresh, pairs)
+    # Each variant is checked on x and on its fresh copy: one pass for each
+    # tuple of tuples, and one per call for the list and the tuple of lists.
+    assert calls["check_matching"] == 2 * (1 + 3 + 3 + 1 + 1)
+    crit, _ = critical_simplices(x, variants[3])
+    assert crit == res.critical_set | {a, b}
+    dropped = ConstructionResult(
+        pairs=variants[3],
+        critical_set=crit,
+        critical_f=critical_fvector_of(crit),
+        special_zero=None,
+        driver="chordal",
+    )
+    assert classify(x, dropped) == classify(SimplicialComplex(x.n, x.faces), dropped)
+    assert not verify_matching(x, variants[4])
+    assert verify_acyclic(x, res.pairs)
+    # A list or a tuple of lists changed in place gets a new answer.
+    listed, tuple_of_lists = variants[1], variants[2]
+    assert verify_matching(x, listed) and verify_matching(x, tuple_of_lists)
+    listed.append((a, b))
+    tuple_of_lists[0][1] = tuple_of_lists[0][0]
+    assert not verify_matching(x, listed) and not verify_matching(x, tuple_of_lists)
+
+
+def test_kept_certificate_does_not_hide_a_cycle():
+    rim = closure_complex(3, [0b011, 0b101, 0b110])
+    assert verify_acyclic(rim, ((0b001, 0b011),))
+    for pairs in (tuple(CYCLIC_FIELD), CYCLIC_FIELD):
+        assert verify_matching(rim, pairs) and not verify_acyclic(rim, pairs)
+        ok, cycle = check_acyclic(rim, pairs)
+        assert not ok and cycle == check_acyclic(TRIANGLE_RIM, CYCLIC_FIELD)[1]
+    assert verify_acyclic(rim, ((0b001, 0b011),))
+
+
+def test_held_caches_leave_equality_and_hash_alone():
+    g = random_chordal(10, 0.3, 2)
+    x, y = independence_complex(g), independence_complex(g)
+    before = hash(x)
+    res = build_chordal_matching(g)
+    assert verify_acyclic(x, res.pairs) and x.dim() == y.dim()
+    assert all(is_maximal(x, s) for s in res.critical_set if s != res.special_zero)
+    assert x == y and hash(x) == hash(y) == before and {x} == {y}
+    assert x == SimplicialComplex(g.n, y.faces) and x != SimplicialComplex(g.n + 1, y.faces)
