@@ -33,10 +33,7 @@ from .graph_core import (
     domination_number,
     graph_from_json,
     graph_to_json,
-    induced_delete,
     is_clique,
-    is_simplicial,
-    universal_vertices,
 )
 from .homology import (
     HomologyProfile,
@@ -112,11 +109,9 @@ __all__ = [
     "hasse_edges",
     "homology_integer",
     "independence_complex",
-    "induced_delete",
     "is_chordal",
     "is_clique",
     "is_maximal",
-    "is_simplicial",
     "match_complete",
     "match_isolated",
     "maximum_cardinality_search",
@@ -125,7 +120,6 @@ __all__ = [
     "power_graph_cyclic",
     "random_chordal",
     "standard_graph",
-    "universal_vertices",
     "verify_acyclic",
     "verify_matching",
     "verify_peo",

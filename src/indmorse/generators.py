@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .graph_core import Graph
+from .graph_core import Graph, _graph_of_rows
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,35 @@ class GridSpec:
         return sum(sum(row) for row in self.sizes)
 
 
-def _grid_adjacent(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    (i1, j1), (i2, j2) = a, b
-    return (i1 <= i2 and j1 <= j2) or (i1 >= i2 and j1 >= j2)
+def _grid_rows(members, labels) -> tuple[int, ...]:
+    """Adjacency rows of the grid rule from a full table of cell members.
+
+    ``members[i][j]`` is the bitmask of the vertices in cell (i, j) and
+    ``labels[v]`` is the cell of v.  Cells (r, s) and (i, j) are comparable
+    iff r <= i and s <= j, or r >= i and s >= j; v's row is every member of
+    a cell comparable to its own, itself excepted.  The rows are symmetric
+    and loop-free by construction.
+    """
+    # below[i][j] / above[i][j]: members of the cells (r, s) with r <= i and
+    # s <= j, resp. r >= i and s >= j; together, every comparable cell.
+    m, n = len(members) - 1, len(members[0]) - 1
+    below = [row[:] for row in members]
+    for i in range(m + 1):
+        for j in range(n + 1):
+            if i:
+                below[i][j] |= below[i - 1][j]
+            if j:
+                below[i][j] |= below[i][j - 1]
+    above = [row[:] for row in members]
+    for i in range(m, -1, -1):
+        for j in range(n, -1, -1):
+            if i < m:
+                above[i][j] |= above[i + 1][j]
+            if j < n:
+                above[i][j] |= above[i][j + 1]
+    return tuple(
+        (below[i][j] | above[i][j]) & ~(1 << v) for v, (i, j) in enumerate(labels)
+    )
 
 
 def grid_graph(spec: GridSpec) -> Graph:
@@ -57,17 +83,13 @@ def grid_graph(spec: GridSpec) -> Graph:
     clique).
     """
     labels: list[tuple[int, int]] = []
-    for i in range(spec.m + 1):
-        for j in range(spec.n + 1):
-            labels.extend([(i, j)] * spec.sizes[i][j])
-    n = len(labels)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if _grid_adjacent(labels[u], labels[v])
-    ]
-    return Graph.from_edges(n, edges, labels)
+    members = []
+    for i, sizes in enumerate(spec.sizes):
+        members.append([])
+        for j, size in enumerate(sizes):
+            members[i].append(((1 << size) - 1) << len(labels))
+            labels.extend([(i, j)] * size)
+    return _graph_of_rows(len(labels), _grid_rows(members, labels), tuple(labels))
 
 
 def _is_prime(p: int) -> bool:
@@ -93,10 +115,10 @@ def power_graph_cyclic(p: int, q: int, m: int, n: int) -> Graph:
     if m < 0 or n < 0:
         raise ValueError("exponents must be nonnegative")
     big = p**m * q**n
-    orders = [big // gcd(big, x) if x else 1 for x in range(big)]
     labels = []
+    members = [[0] * (n + 1) for _ in range(m + 1)]
     for x in range(big):
-        o = orders[x]
+        o = big // gcd(big, x) if x else 1
         i = 0
         while o % p == 0:
             o //= p
@@ -106,14 +128,10 @@ def power_graph_cyclic(p: int, q: int, m: int, n: int) -> Graph:
             o //= q
             j += 1
         labels.append((i, j))
-    # x is a power of y exactly when ord(x) divides ord(y).
-    edges = [
-        (x, y)
-        for x in range(big)
-        for y in range(x + 1, big)
-        if orders[x] % orders[y] == 0 or orders[y] % orders[x] == 0
-    ]
-    return Graph.from_edges(big, edges, labels)
+        members[i][j] |= 1 << x
+    # x is a power of y exactly when ord(x) divides ord(y), that is, when
+    # the cell of x lies below the cell of y in the product order.
+    return _graph_of_rows(big, _grid_rows(members, labels), tuple(labels))
 
 
 def random_chordal(n: int, extra_density: float, seed: int) -> Graph:
@@ -182,23 +200,6 @@ def grid_spec_from_labels(g: Graph) -> GridSpec:
         members[i][j] |= 1 << v
     if any(c == 0 for row in members for c in row):
         raise ValueError("labels leave a grid cell empty")
-    # below[i][j] / above[i][j]: members of the cells (r, s) with r <= i and
-    # s <= j, resp. r >= i and s >= j; together, every comparable cell.
-    below = [row[:] for row in members]
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if i:
-                below[i][j] |= below[i - 1][j]
-            if j:
-                below[i][j] |= below[i][j - 1]
-    above = [row[:] for row in members]
-    for i in range(m, -1, -1):
-        for j in range(n, -1, -1):
-            if i < m:
-                above[i][j] |= above[i + 1][j]
-            if j < n:
-                above[i][j] |= above[i][j + 1]
-    for u, (i, j) in enumerate(g.labels):
-        if g.adj[u] != (below[i][j] | above[i][j]) & ~(1 << u):
-            raise ValueError("labels are inconsistent with the adjacency rule")
+    if tuple(g.adj) != _grid_rows(members, g.labels):
+        raise ValueError("labels are inconsistent with the adjacency rule")
     return GridSpec.of(m, n, [[c.bit_count() for c in row] for row in members])

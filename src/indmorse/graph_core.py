@@ -96,7 +96,7 @@ class Graph:
         try:
             adj = [0] * n
         except (OverflowError, MemoryError):
-            # Raised again after the edges are checked.
+            # Reported after the edges are checked.
             adj = None
         bad = None
         for e in edges:
@@ -116,7 +116,7 @@ class Graph:
                     else f"edge ({u}, {v}) out of range"
                 )
         if adj is None:
-            adj = [0] * n
+            raise ValueError(f"vertex count {n} is too large")
         if bad is not None:
             raise ValueError(bad)
         lab = None
@@ -132,7 +132,8 @@ class Graph:
         return (1 << self.n) - 1
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
+        # Each edge once, from its lower end: only the bits above u are walked.
+        return [(u, v) for u, row in enumerate(self.adj) for v in bits(row >> u + 1 << u + 1)]
 
     def _check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
@@ -165,43 +166,6 @@ def is_clique(g: Graph, s: int) -> bool:
         if s & ~(g.adj[v] | 1 << v):
             return False
     return True
-
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff the closed neighborhood of v is a clique."""
-    return is_clique(g, closed_neighborhood(g, v))
-
-
-def universal_vertices(g: Graph) -> int:
-    """Bitmask of vertices adjacent to every other vertex."""
-    full = g.full_mask
-    out = 0
-    for v in range(g.n):
-        if (g.adj[v] | 1 << v) == full:
-            out |= 1 << v
-    return out
-
-
-def induced_delete(g: Graph, u: int) -> tuple[Graph, tuple[int, ...]]:
-    """Delete the vertex set ``u``; return the relabeled subgraph and an id map.
-
-    The id map sends each new vertex id to its original id.
-    """
-    if u & ~g.full_mask:
-        raise ValueError("vertex set out of range")
-    keep = g.full_mask & ~u
-    old_ids = tuple(bits(keep))
-    pos = {old: new for new, old in enumerate(old_ids)}
-    adj = []
-    for old in old_ids:
-        row = 0
-        for w in bits(g.adj[old] & keep):
-            row |= 1 << pos[w]
-        adj.append(row)
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[old] for old in old_ids)
-    return Graph(len(old_ids), tuple(adj), labels), old_ids
 
 
 def domination_number(g: Graph) -> int:

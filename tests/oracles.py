@@ -7,8 +7,111 @@ meaningful evidence rather than a tautology.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from indmorse import Graph, SimplicialComplex, UnsupportedGraphError, bits, is_clique
+from indmorse import (
+    Graph,
+    SimplicialComplex,
+    UnsupportedGraphError,
+    bits,
+    closed_neighborhood,
+    is_clique,
+)
+
+
+def is_simplicial(g: Graph, v: int) -> bool:
+    """True iff the closed neighborhood of v is a clique."""
+    return is_clique(g, closed_neighborhood(g, v))
+
+
+def universal_vertices(g: Graph) -> int:
+    """Bitmask of vertices adjacent to every other vertex."""
+    full = g.full_mask
+    out = 0
+    for v in range(g.n):
+        if (g.adj[v] | 1 << v) == full:
+            out |= 1 << v
+    return out
+
+
+def induced_delete(g: Graph, u: int) -> tuple[Graph, tuple[int, ...]]:
+    """Delete the vertex set ``u``; return the relabeled subgraph and an id map.
+
+    The id map sends each new vertex id to its original id.
+    """
+    if u & ~g.full_mask:
+        raise ValueError("vertex set out of range")
+    keep = g.full_mask & ~u
+    old_ids = tuple(bits(keep))
+    pos = {old: new for new, old in enumerate(old_ids)}
+    adj = []
+    for old in old_ids:
+        row = 0
+        for w in bits(g.adj[old] & keep):
+            row |= 1 << pos[w]
+        adj.append(row)
+    labels = None
+    if g.labels is not None:
+        labels = tuple(g.labels[old] for old in old_ids)
+    return Graph(len(old_ids), tuple(adj), labels), old_ids
+
+
+def _grid_adjacent(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    (i1, j1), (i2, j2) = a, b
+    return (i1 <= i2 and j1 <= j2) or (i1 >= i2 and j1 >= j2)
+
+
+def grid_graph_pairwise(spec) -> Graph:
+    """The blown-up grid graph by testing cell comparability for every
+    vertex pair (``spec`` needs only ``m``, ``n`` and ``sizes``)."""
+    labels: list[tuple[int, int]] = []
+    for i in range(spec.m + 1):
+        for j in range(spec.n + 1):
+            labels.extend([(i, j)] * spec.sizes[i][j])
+    n = len(labels)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if _grid_adjacent(labels[u], labels[v])
+    ]
+    return Graph(n, _rows_of_edges(n, edges), tuple(labels))
+
+
+def power_graph_pairwise(p: int, q: int, m: int, n: int) -> Graph:
+    """The power graph of the cyclic group of order p^m q^n by testing
+    order divisibility for every element pair, labeled as the library
+    labels it (the element of order p^i q^j gets cell (i, j))."""
+    big = p**m * q**n
+    orders = [big // gcd(big, x) if x else 1 for x in range(big)]
+    labels = []
+    for x in range(big):
+        o = orders[x]
+        i = 0
+        while o % p == 0:
+            o //= p
+            i += 1
+        j = 0
+        while o % q == 0:
+            o //= q
+            j += 1
+        labels.append((i, j))
+    # x is a power of y exactly when ord(x) divides ord(y).
+    edges = [
+        (x, y)
+        for x in range(big)
+        for y in range(x + 1, big)
+        if orders[x] % orders[y] == 0 or orders[y] % orders[x] == 0
+    ]
+    return Graph(big, _rows_of_edges(big, edges), tuple(labels))
+
+
+def _rows_of_edges(n: int, edges) -> tuple[int, ...]:
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
 
 
 def independent_set_masks(g: Graph) -> set[int]:

@@ -9,16 +9,20 @@ from hypothesis import given, strategies as st
 from indmorse import (
     Graph,
     bits,
-    induced_delete,
     is_chordal,
-    is_simplicial,
     maximum_cardinality_search,
     random_chordal,
     standard_graph,
     verify_peo,
 )
 from indmorse.chordal import _mcs_masked
-from oracles import has_induced_long_cycle, mcs_quadratic, verify_peo_reference
+from oracles import (
+    has_induced_long_cycle,
+    induced_delete,
+    is_simplicial,
+    mcs_quadratic,
+    verify_peo_reference,
+)
 
 from test_graph_core import all_graphs, graphs
 

@@ -544,6 +544,17 @@ def test_malformed_graph_object(capsys, tmp_path):
     assert "malformed graph JSON" in err or '"n" and "edges"' in err
 
 
+@pytest.mark.parametrize("n", [2**62, 2**64])
+def test_vertex_count_too_large_to_allocate_exits_2(capsys, tmp_path, n):
+    # Both counts are refused before any row is allocated.
+    path = write_graph(tmp_path, "huge.json", n, [])
+    for argv in (("analyze", path), ("analyze", "--mode", "counts", path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: vertex count {n} is too large\n"
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -1,6 +1,7 @@
 """Graph family generators: grids, cyclic power graphs, random chordal."""
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -12,11 +13,15 @@ from indmorse import (
     closed_neighborhood,
     grid_graph,
     grid_spec_from_labels,
-    induced_delete,
     is_chordal,
     power_graph_cyclic,
     random_chordal,
     standard_graph,
+)
+from oracles import (
+    grid_graph_pairwise,
+    induced_delete,
+    power_graph_pairwise,
     universal_vertices,
 )
 
@@ -232,6 +237,7 @@ def test_grid_spec_from_labels_rejects_bad_labels():
         grid_spec_from_labels(relabeled)
     # One edge added or removed anywhere breaks the adjacency rule.
     for spec in (
+        GridSpec.of(1, 1, [[1, 2], [2, 1]]),
         GridSpec.of(1, 2, [[1, 2, 1], [2, 1, 1]]),
         GridSpec.of(2, 1, [[1, 1]] * 3),
     ):
@@ -258,3 +264,77 @@ def test_grid_spec_from_labels_checks_cell_count_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(ValueError, match="negative cell label"):
         grid_spec_from_labels(Graph(2, (0, 0), ((2000, 2000), (-1, 0))))
+
+
+# ── the cell-mask rows against the pairwise rules ──────────────────────
+
+
+def random_specs(count, max_side, max_size, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randrange(max_side), rng.randrange(max_side)
+        yield GridSpec.of(
+            m, n, [[rng.randint(1, max_size) for _ in range(n + 1)] for _ in range(m + 1)]
+        )
+
+
+LARGE_SPECS = (
+    GridSpec.of(0, 0, [[300]]),
+    GridSpec.of(2, 4, [[20] * 5] * 3),
+    GridSpec.of(9, 9, [[3] * 10] * 10),
+)
+
+
+def test_grid_graph_equals_the_pairwise_rule():
+    specs = list(small_specs(2, 2, 2)) + list(random_specs(200, 6, 4, 2024))
+    for spec in specs + list(LARGE_SPECS):
+        assert grid_graph(spec) == grid_graph_pairwise(spec), spec
+    assert all(spec.total_vertices() == 300 for spec in LARGE_SPECS)
+
+
+def test_power_graph_equals_the_pairwise_rule():
+    cases = [(2, 3, m, n) for m in range(5) for n in range(4)]
+    cases += [(3, 2, 2, 2), (5, 7, 1, 2)]
+    for case in cases:
+        assert power_graph_cyclic(*case) == power_graph_pairwise(*case), case
+
+
+def test_grid_families_make_no_edge_list(monkeypatch):
+    calls = []
+    from_edges = Graph.from_edges
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return from_edges(*args, **kwargs)
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(counted))
+    grid_graph(GridSpec.of(2, 1, [[2, 1], [1, 3], [1, 1]]))
+    power_graph_cyclic(2, 3, 2, 1)
+    assert calls == []
+    standard_graph("path", 3)
+    assert len(calls) == 1
+
+
+def test_grid_spec_from_labels_rejects_exactly_the_inconsistent_swaps():
+    # A swap of two labels is rejected exactly when the pairwise rule
+    # disagrees with the adjacency under the swapped labels.
+    spec = GridSpec.of(1, 1, [[1, 2], [2, 1]])
+    g = grid_graph(spec)
+    rejected = 0
+    for u, v in itertools.combinations(range(g.n), 2):
+        labels = list(g.labels)
+        labels[u], labels[v] = labels[v], labels[u]
+        rule = [
+            (i1 <= i2 and j1 <= j2) or (i1 >= i2 and j1 >= j2)
+            for (i1, j1), (i2, j2) in itertools.combinations(labels, 2)
+        ]
+        actual = [bool(g.adj[a] >> b & 1) for a, b in itertools.combinations(range(g.n), 2)]
+        swapped = Graph(g.n, g.adj, tuple(labels))
+        if rule == actual:
+            assert grid_spec_from_labels(swapped) == spec
+        else:
+            rejected += 1
+            with pytest.raises(ValueError, match="^labels are inconsistent with the adjacency rule$"):
+                grid_spec_from_labels(swapped)
+    # Swaps inside a cell or between the two corner cells keep the graph.
+    assert rejected == 15 - 2 - 1

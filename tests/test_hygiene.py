@@ -79,6 +79,9 @@ def test_oracles_import_nothing_from_the_construction():
     for path in (SRC / "homology.py", SRC / "complexes.py", root / "tests" / "oracles.py"):
         shared = set(_imported_modules(path)) & CONSTRUCTION
         assert not shared, f"{path.name} imports from {sorted(shared)}"
+    # The pairwise grid and power-graph rules in oracles.py check the
+    # generators' cell-mask rows, so they must not reach that kernel.
+    assert "generators" not in set(_imported_modules(root / "tests" / "oracles.py"))
 
 
 def test_acceptance_gates_never_name_the_certificate():

@@ -29,13 +29,12 @@ from indmorse import (
     power_graph_cyclic,
     random_chordal,
     standard_graph,
-    universal_vertices,
     verify_acyclic,
     verify_matching,
 )
 from indmorse.morse import _grid_selector, _select_auto
 
-from oracles import grid_rectangle_trace
+from oracles import grid_rectangle_trace, universal_vertices
 from test_generators import small_specs
 from test_homotopy import subtree_intersection_graph
 
