@@ -8,7 +8,6 @@ from .complexes import (
     hasse_edges,
     independence_complex,
     is_maximal,
-    partition_check,
 )
 from .counts import (
     GridCountTable,
@@ -29,11 +28,9 @@ from .graph_core import (
     Graph,
     UnsupportedGraphError,
     bits,
-    closed_neighborhood,
     domination_number,
     graph_from_json,
     graph_to_json,
-    is_clique,
 )
 from .homology import (
     HomologyProfile,
@@ -48,7 +45,6 @@ from .homotopy import (
     consistency_with_homology,
 )
 from .matching import (
-    check_acyclic,
     check_field,
     check_matching,
     critical_fvector_of,
@@ -64,8 +60,6 @@ from .morse import (
     build_grid_matching,
     certify_tree,
     extend_matching,
-    match_complete,
-    match_isolated,
 )
 
 __version__ = "0.1.0"
@@ -85,13 +79,11 @@ __all__ = [
     "build_chordal_matching",
     "build_grid_matching",
     "certify_tree",
-    "check_acyclic",
     "check_domination_bound",
     "check_field",
     "check_matching",
     "classify",
     "classify_tree",
-    "closed_neighborhood",
     "consistency_with_homology",
     "critical_fvector_of",
     "critical_fvector_recursive",
@@ -110,13 +102,9 @@ __all__ = [
     "homology_integer",
     "independence_complex",
     "is_chordal",
-    "is_clique",
     "is_maximal",
-    "match_complete",
-    "match_isolated",
     "maximum_cardinality_search",
     "optimal_matching_bruteforce",
-    "partition_check",
     "power_graph_cyclic",
     "random_chordal",
     "standard_graph",

@@ -17,7 +17,7 @@ import sys
 import time
 
 from .chordal import is_chordal
-from .complexes import hasse_edges, independence_complex
+from .complexes import _independent_sets, hasse_edges, independence_complex
 from .counts import (
     critical_fvector_recursive,
     grid_count_table,
@@ -165,15 +165,13 @@ def _graph_summary(g: Graph) -> tuple[dict, GridSpec | None]:
 #  Shared pipeline pieces
 # ─────────────────────────────────────────────────────────────
 
-def _build(
-    g: Graph, driver: str, spec: GridSpec | None = None, trace: dict | None = None
-) -> ConstructionResult:
+def _build(g: Graph, driver: str, spec: GridSpec | None = None) -> ConstructionResult:
     if driver == "chordal":
-        return build_chordal_matching(g, trace=trace)
+        return build_chordal_matching(g)
     if driver == "grid":
         # No spec means the labels define no grid; deriving it raises why.
-        return build_grid_matching(g, spec or grid_spec_from_labels(g), trace=trace)
-    return build_auto(g, trace=trace)
+        return build_grid_matching(g, spec or grid_spec_from_labels(g))
+    return build_auto(g)
 
 
 def _pad(seq, length: int) -> list[int]:
@@ -241,12 +239,11 @@ def cmd_analyze(args) -> int:
     h: HomotopyType | None = None
 
     if args.mode == "explicit":
-        trace: dict = {}
-        result = _build(g, args.driver, spec, trace)
+        result = _build(g, args.driver, spec)
         timings["build_s"] = round(time.perf_counter() - started, 6)
         # Certified by the extension theorem on the recursion tree; verify
         # and compare check the field on the complex instead.
-        h = classify_tree(g, result, trace)
+        h = classify_tree(g, result)
         fvec = result.critical_f
         report["driver"] = result.driver
         report["critical_f"] = list(fvec)
@@ -325,11 +322,12 @@ def cmd_match(args) -> int:
 
 
 def _write_dot(g: Graph, result: ConstructionResult, path: str) -> None:
-    x = independence_complex(g)
-    if len(x.faces) > DOT_SIMPLEX_CAP:
+    # Count the faces only up to the cap: there are up to 2^n of them.
+    if len(_independent_sets(g.adj, g.full_mask, DOT_SIMPLEX_CAP)) > DOT_SIMPLEX_CAP:
         raise CapabilityError(
             f"DOT dump is limited to {DOT_SIMPLEX_CAP} simplices"
         )
+    x = independence_complex(g)
     matched = set(result.pairs)
 
     def name(mask: int) -> str:
@@ -389,13 +387,10 @@ def cmd_compare(args) -> int:
     g = _load_graph(args.graph)
     summary, spec = _graph_summary(g)
     report: dict = {"graph": summary}
+    driver = "grid" if spec is not None else "chordal" if summary["chordal"] else "auto"
+    result = _build(g, driver, spec)
     if spec is not None:
-        result = build_grid_matching(g, spec)
         report["grid_f"] = list(grid_critical_fvector(spec))
-    elif summary["chordal"]:
-        result = build_chordal_matching(g)
-    else:
-        result = build_auto(g)
     report["driver"] = result.driver
     report["critical_f"] = list(result.critical_f)
     report["counts_f"] = list(critical_fvector_recursive(g))

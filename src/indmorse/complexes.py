@@ -61,13 +61,17 @@ class SimplicialComplex:
         return by_size[d + 1] if 0 <= d + 1 < len(by_size) else ()
 
 
-def _independent_sets(adj: tuple[int, ...], mask: int) -> list[int]:
+def _independent_sets(
+    adj: tuple[int, ...], mask: int, limit: int | None = None
+) -> list[int]:
     """All independent subsets of ``mask``, one vertex at a time.
 
     Vertices are added in increasing order; each one extends every set so
     far that avoids its neighbors.  The order equals that of branching on
     the highest vertex (exclude it first, then include it with its
     neighbors excluded), so pair lists built from it keep their order.
+    With a ``limit``, the list is cut off as soon as it holds more than
+    ``limit`` sets, so it is at most twice as long.
     """
     out = [0]
     rest = mask
@@ -75,6 +79,8 @@ def _independent_sets(adj: tuple[int, ...], mask: int) -> list[int]:
         low = rest & -rest
         nbrs = adj[low.bit_length() - 1]
         out += [s | low for s in out if not s & nbrs]
+        if limit is not None and len(out) > limit:
+            break
         rest ^= low
     return out
 
@@ -117,45 +123,3 @@ def hasse_edges(x: SimplicialComplex) -> list[tuple[int, int]]:
             out.append((beta, beta & ~(1 << v)))
     out.sort(key=lambda e: (e[0].bit_count(), e[0], e[1]))
     return out
-
-
-def partition_check(g: Graph, v: int) -> bool:
-    """Check the four-block partition of I(G) induced by a vertex v whose
-    neighborhood is a clique.
-
-    Blocks: (1) the union over u in N(v) of I(G - N[u]); (2) the rest of
-    I(G - N[v]); (3) the u-extensions of each I(G - N[u]); (4) the
-    v-extensions of I(G - N[v]).  Returns True iff the blocks are pairwise
-    disjoint, the u-extension blocks are mutually disjoint, their union is
-    all of I(G), and block 1 sits inside I(G - v).
-    """
-    g._check_vertex(v)
-    nv = g.adj[v]
-    if nv == 0:
-        raise ValueError("v must not be isolated")
-    for u in bits(nv):
-        if nv & ~(g.adj[u] | 1 << u):
-            raise ValueError("the open neighborhood of v must be a clique")
-    full = g.full_mask
-    all_faces = set(_independent_sets(g.adj, full))
-    sub_v = set(_independent_sets(g.adj, full & ~(g.adj[v] | 1 << v)))
-    block1: set[int] = set()
-    block3: set[int] = set()
-    for u in bits(nv):
-        sub_u = set(_independent_sets(g.adj, full & ~(g.adj[u] | 1 << u)))
-        block1 |= sub_u
-        ext_u = {a | 1 << u for a in sub_u}
-        if block3 & ext_u:
-            return False
-        block3 |= ext_u
-    block2 = sub_v - block1
-    block4 = {a | 1 << v for a in sub_v}
-    blocks = [block1, block2, block3, block4]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if blocks[i] & blocks[j]:
-                return False
-    if block1 | block2 | block3 | block4 != all_faces:
-        return False
-    minus_v = set(_independent_sets(g.adj, full & ~(1 << v)))
-    return block1 <= minus_v

@@ -1,4 +1,4 @@
-"""Immutable bitset graphs and the neighborhood, clique and domination primitives.
+"""Immutable bitset graphs and the domination number.
 
 Vertices are dense integers 0..n-1.  Every vertex set, including adjacency
 rows, is a plain int used as a bitmask, so set algebra is bitwise arithmetic.
@@ -150,22 +150,6 @@ def _graph_of_rows(n: int, adj: tuple[int, ...], labels=None) -> Graph:
     g = object.__new__(Graph)
     g.__dict__.update(n=n, adj=adj, labels=labels)
     return g
-
-
-def closed_neighborhood(g: Graph, v: int) -> int:
-    """N[v] as a bitmask: v together with its neighbors."""
-    g._check_vertex(v)
-    return g.adj[v] | 1 << v
-
-
-def is_clique(g: Graph, s: int) -> bool:
-    """True iff every unordered pair inside the vertex set ``s`` is an edge."""
-    if s & ~g.full_mask:
-        raise ValueError("vertex set out of range")
-    for v in bits(s):
-        if s & ~(g.adj[v] | 1 << v):
-            return False
-    return True
 
 
 def domination_number(g: Graph) -> int:

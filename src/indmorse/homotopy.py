@@ -109,12 +109,12 @@ def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     return _decide(result, critical, fvec, partial(is_maximal, x), descending)
 
 
-def classify_tree(g: Graph, result: ConstructionResult, trace: dict) -> HomotopyType:
-    """The classify decision for a build of g and its trace, certified by
-    the extension theorem (morse.certify_tree) instead of verified on I(g).
-    sigma is a facet of I(g) iff sigma + N(sigma) covers g; I(g) is built
-    only for the descending-path test, which reads the pairs."""
-    cert = certify_tree(g, trace)
+def classify_tree(g: Graph, result: ConstructionResult) -> HomotopyType:
+    """The classify decision for a build of g, certified on its recursion
+    tree by the extension theorem (morse.certify_tree) instead of verified
+    on I(g).  sigma is a facet of I(g) iff sigma + N(sigma) covers g; I(g) is
+    built only for the descending-path test, which reads the pairs."""
+    cert = certify_tree(g, result)
 
     def maximal(s: int) -> bool:
         covered = s

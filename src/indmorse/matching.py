@@ -120,21 +120,13 @@ def _alternating_cycle(up: dict[int, int]) -> tuple[int, ...] | None:
     return None
 
 
-def check_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]):
-    """Cycle search on the matching; returns (ok, cycle) with cycle None when acyclic.
-
-    A reported cycle is the alternating simplex sequence [a0, b0, a1, ..., a0].
-    """
+def verify_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
+    """True iff reversing the matched Hasse edges leaves the diagram acyclic;
+    raises ValueError for pairs that are no matching on x."""
     cert = check_field(x, pairs)
     if cert.error is not None:
         raise ValueError(cert.error)
-    return cert.cycle is None, cert.cycle
-
-
-def verify_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
-    """True iff reversing the matched Hasse edges leaves the diagram acyclic."""
-    ok, _ = check_acyclic(x, pairs)
-    return ok
+    return cert.cycle is None
 
 
 def critical_simplices(x: SimplicialComplex, pairs: Sequence[Pair]):

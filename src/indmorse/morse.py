@@ -20,7 +20,11 @@ from the corner cell), and a generic one (v = smallest simplicial vertex).
 A node of the recursion tree assembles only its critical data and stores
 its recipe: v, its mask and, per child, (u, child node, x_u).  Its pairs
 are derived from the recipe on first read and then kept, so a build whose
-caller reads only the critical data enumerates no case-(iii) set.
+caller reads only the critical data enumerates no case-(iii) set.  The
+tree is also the certificate: certify_tree walks the recipes from the root
+and checks the extension theorem's hypotheses at each node.  A ``trace``
+dict, when a caller passes one, records every node for counting and tests;
+no code here reads it.
 """
 
 from __future__ import annotations
@@ -172,28 +176,6 @@ def _node_pairs(adj, mask: int, v: int, steps) -> tuple[Pair, ...]:
     return tuple(pairs)
 
 
-def match_isolated(g: Graph, v: int) -> ConstructionResult:
-    """Collapse I(G) along an isolated vertex; {v} is the only critical simplex."""
-    g._check_vertex(v)
-    _check_cap(g)
-    if g.adj[v] != 0:
-        raise ValueError(f"vertex {v} is not isolated")
-    # With no neighbors, only case (iii) applies: every simplex avoiding v
-    # is paired with its v-extension, which collapses the cone onto {v}.
-    return _scoped_node(g, g.full_mask, v, {}, "isolated")
-
-
-def match_complete(g: Graph) -> ConstructionResult:
-    """Empty matching on the complex of a complete graph: n critical points."""
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    full = g.full_mask
-    for v in range(g.n):
-        if (g.adj[v] | 1 << v) != full:
-            raise ValueError("graph is not complete")
-    return _scoped_node(g, full, None, {}, "complete")
-
-
 def extend_matching(
     g: Graph, v: int, sub: Mapping[int, ConstructionResult]
 ) -> ConstructionResult:
@@ -333,78 +315,71 @@ def _recurse(g: Graph, select, assemble, trace=None):
     return memo[g.full_mask]
 
 
-def _node_fault(adj, trace: dict, mask: int, node: dict) -> str | None:
-    """The extension theorem's first local hypothesis that fails at one
-    traced node, or None.  A "complete" node is a clique whose singletons
-    are critical.  Any other node has v in its mask and N(v) & mask a
-    clique; its children are the nonempty mask - N[u] over u in N(v) & mask,
-    each a node; its critical set is {v}, the {u} with no child, and the
-    lifts c + u of child u's critical cells but one 0-simplex x_u.  Its
-    recipe, from which its pairs derive, names the same v, the child nodes
-    and the dropped x_u."""
-    result, v = node["result"], node["v"]
-    crit = result.critical_set
-    if node["rule"] == "complete":
+def _node_fault(adj, mask: int, node: ConstructionResult) -> str | None:
+    """The extension theorem's first local hypothesis that fails at one node
+    of a tree, reached at ``mask``, or None.  A node with no recipe is a
+    clique whose singletons are critical.  A recipe (adj, mask, v, steps) is
+    this node's; v is in the mask and simplicial there; the steps are the u
+    in N(v) & mask with mask - N[u] nonempty, in order; each x_u is a
+    critical 0-simplex of its child; and the critical set is {v}, the {u}
+    with no child, and the lifts c + u of child u's critical cells but
+    x_u + u."""
+    crit = node.critical_set
+    if node.recipe is None:
         if any(mask & ~(adj[w] | 1 << w) for w in bits(mask)):
             return "the mask is not a clique"
-        if node["children"] or crit != {1 << w for w in bits(mask)}:
+        if crit != {1 << w for w in bits(mask)}:
             return "a clique's critical cells are not its singletons"
         return None
-    if v is None or not mask >> v & 1:
+    node_adj, node_mask, v, steps = node.recipe
+    if node_mask != mask or node_adj != adj:
+        return "the recipe is not this node's extension step"
+    if not mask >> v & 1:
         return "v is not in the mask"
     nv = adj[v] & mask
     if any(nv & ~(adj[u] | 1 << u) for u in bits(nv)):
         return "v is not simplicial"
-    if result.recipe is None or result.recipe[:3] != (adj, mask, v):
-        return "the recipe is not this node's extension step"
-    steps = {u: (child, xu) for u, child, xu in result.recipe[3]}
-    expected, children = {1 << v}, {}
+    expected = {1 << v}
+    stepped = []
     for u in bits(nv):
-        mask_u = mask & ~(adj[u] | 1 << u)
-        if not mask_u:
+        if mask & ~(adj[u] | 1 << u):
+            stepped.append(u)
+        else:
             expected.add(1 << u)
-            continue
-        children[u] = mask_u
-        if mask_u not in trace:
-            return f"child {u} is not a node"
-        child = trace[mask_u]["result"]
-        lifts = {c | 1 << u for c in child.critical_set}
-        dropped = lifts - crit  # {x_u + u}
-        if len(dropped) != 1 or next(iter(dropped)).bit_count() != 2:
+    if [u for u, _, _ in steps] != stepped:
+        return "the steps are not the u in N(v) with mask - N[u] nonempty"
+    for u, child, xu in steps:
+        if xu.bit_count() != 1 or xu not in child.critical_set:
             return f"x_{u} is not a critical 0-simplex of child {u}"
-        if steps.get(u, (None,))[0] is not child:
-            return f"the recipe's child {u} is not the node of mask - N[{u}]"
-        if {steps[u][1] | 1 << u} != dropped:
-            return f"the recipe's x_{u} is not the critical 0-simplex dropped"
-        expected |= lifts
-    if node["children"] != children:
-        return "the child masks are not mask - N[u] over u in N(v)"
-    if steps.keys() != children.keys():
-        return "the recipe has a step for no child"
-    # Lifts through distinct u are disjoint, so this is crit equal to
-    # expected without the x_u + u.
-    if len(crit) != len(expected) - len(children) or not crit <= expected:
+        expected.update(c | 1 << u for c in child.critical_set if c != xu)
+    if crit != expected:
         return "the critical set is not the extension's"
     return None
 
 
-def certify_tree(g: Graph, trace: dict) -> FieldCertificate:
-    """Certify a build by the extension theorem: its local hypotheses hold
-    at every node of the build's trace (O(nodes * n) bit operations), so the
-    root's matching is acyclic with the returned critical set.  The recipes
-    are checked too, so pairs derived from them are the theorem's; pairs
-    given explicitly are left to check_field.  Raises ValueError naming the
-    first node that fails and the hypothesis."""
-    if g.n == 0:
-        return FieldCertificate()
-    if g.full_mask not in trace:
-        raise ValueError("trace has no node for the full graph")
-    for mask, node in trace.items():
-        fault = _node_fault(g.adj, trace, mask, node)
+def certify_tree(g: Graph, result: ConstructionResult) -> FieldCertificate:
+    """Certify a build by the extension theorem: walking the recipes from
+    the root, its local hypotheses hold at every (mask, node) of the tree
+    (O(nodes * n) bit operations), so the root's matching is acyclic with the
+    returned critical set.  Pairs derived from the recipes are then the
+    theorem's; pairs given explicitly are left to check_field.  Raises
+    ValueError naming the first node that fails and the hypothesis."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(g.full_mask, result)]
+    while stack:
+        mask, node = stack.pop()
+        if (mask, id(node)) in seen:
+            continue
+        seen.add((mask, id(node)))
+        fault = _node_fault(g.adj, mask, node)
         if fault is not None:
             where = sorted(bits(mask))
             raise ValueError(f"extension hypothesis fails at node {where}: {fault}")
-    crit = trace[g.full_mask]["result"].critical_set
+        if node.recipe is not None:
+            stack.extend(
+                (mask & ~(g.adj[u] | 1 << u), child) for u, child, _ in node.recipe[3]
+            )
+    crit = result.critical_set
     return FieldCertificate(critical=crit, critical_f=critical_fvector_of(crit))
 
 

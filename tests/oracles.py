@@ -14,9 +14,23 @@ from indmorse import (
     SimplicialComplex,
     UnsupportedGraphError,
     bits,
-    closed_neighborhood,
-    is_clique,
 )
+
+
+def closed_neighborhood(g: Graph, v: int) -> int:
+    """N[v] as a bitmask: v together with its neighbors."""
+    g._check_vertex(v)
+    return g.adj[v] | 1 << v
+
+
+def is_clique(g: Graph, s: int) -> bool:
+    """True iff every unordered pair inside the vertex set ``s`` is an edge."""
+    if s & ~g.full_mask:
+        raise ValueError("vertex set out of range")
+    for v in bits(s):
+        if s & ~(g.adj[v] | 1 << v):
+            return False
+    return True
 
 
 def is_simplicial(g: Graph, v: int) -> bool:
@@ -136,6 +150,50 @@ def independent_sets_recursive(adj, mask: int):
     yield from independent_sets_recursive(adj, rest)
     for s in independent_sets_recursive(adj, rest & ~adj[v]):
         yield s | 1 << v
+
+
+def partition_check(g: Graph, v: int) -> bool:
+    """Check the paper's four-block partition of I(G) induced by a vertex v
+    whose neighborhood is a clique.
+
+    Blocks: (1) the union over u in N(v) of I(G - N[u]); (2) the rest of
+    I(G - N[v]); (3) the u-extensions of each I(G - N[u]); (4) the
+    v-extensions of I(G - N[v]).  Returns True iff the blocks are pairwise
+    disjoint, the u-extension blocks are mutually disjoint, their union is
+    all of I(G), and block 1 sits inside I(G - v).
+    """
+    g._check_vertex(v)
+    nv = g.adj[v]
+    if nv == 0:
+        raise ValueError("v must not be isolated")
+    for u in bits(nv):
+        if nv & ~(g.adj[u] | 1 << u):
+            raise ValueError("the open neighborhood of v must be a clique")
+
+    def faces(mask: int) -> set[int]:
+        return set(independent_sets_recursive(g.adj, mask))
+
+    full = g.full_mask
+    sub_v = faces(full & ~(g.adj[v] | 1 << v))
+    block1: set[int] = set()
+    block3: set[int] = set()
+    for u in bits(nv):
+        sub_u = faces(full & ~(g.adj[u] | 1 << u))
+        block1 |= sub_u
+        ext_u = {a | 1 << u for a in sub_u}
+        if block3 & ext_u:
+            return False
+        block3 |= ext_u
+    block2 = sub_v - block1
+    block4 = {a | 1 << v for a in sub_v}
+    blocks = [block1, block2, block3, block4]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if blocks[i] & blocks[j]:
+                return False
+    if block1 | block2 | block3 | block4 != faces(full):
+        return False
+    return block1 <= faces(full & ~(1 << v))
 
 
 def mcs_quadratic(adj, mask: int) -> list[int]:

@@ -7,6 +7,7 @@ stdout or to ``--out`` files, plus the process exit code contract:
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import os
@@ -316,6 +317,22 @@ def test_match_dot_respects_cap(capsys, tmp_path):
     assert code == 2
 
 
+def test_match_dot_cap_is_checked_before_the_complex(capsys, tmp_path):
+    # I(empty-20) has 2^20 faces; only the first 201 are counted.
+    g = write_graph(tmp_path, "e20.json", 20, [])
+    dot = tmp_path / "x.dot"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "match", g, "--dot", str(dot))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: DOT dump is limited to 200 simplices\n"
+    assert not dot.exists()
+    assert peak < 4 * 2**20, peak
+
+
 # ── homology / compare ───────────────────────────────────────
 
 def test_homology_cycle5(capsys, tmp_path):
@@ -441,6 +458,32 @@ def test_explicit_analyze_builds_no_complex_without_the_oracle(
         calls.clear()
         assert run(capsys, *argv)[0] == 0, argv
         assert calls == want, argv
+
+
+def test_explicit_analyze_passes_no_trace_to_the_build(
+    capsys, p5, tmp_path, monkeypatch
+):
+    gpath = str(tmp_path / "grid.json")
+    run(capsys, "gen", "grid", "--m", "2", "--n", "1",
+        "--sizes", "1,2,2,1,1,2", "--out", gpath)
+    traces = []
+    for name in ("build_auto", "build_chordal_matching", "build_grid_matching"):
+        build = getattr(cli, name)
+
+        def wrapper(*args, _build=build, **kwargs):
+            bound = inspect.signature(_build).bind(*args, **kwargs)
+            traces.append(bound.arguments.get("trace"))
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    # The recursion tree certifies itself; no second record of it is kept.
+    for argv in (
+        ("analyze", p5),
+        ("analyze", p5, "--driver", "chordal", "--gamma"),
+        ("analyze", gpath, "--driver", "grid", "--oracle"),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert traces == [None, None, None]
 
 
 def test_explicit_analyze_enumerates_no_pairs(capsys, p5, tmp_path, monkeypatch):

@@ -13,11 +13,10 @@ from indmorse import (
     hasse_edges,
     independence_complex,
     is_maximal,
-    partition_check,
     standard_graph,
 )
 from indmorse.complexes import _independent_sets
-from oracles import independent_set_masks, independent_sets_recursive
+from oracles import independent_set_masks, independent_sets_recursive, partition_check
 
 from test_generators import small_specs
 from test_graph_core import all_graphs, graphs

@@ -10,7 +10,6 @@ from indmorse import (
     Graph,
     GridSpec,
     bits,
-    closed_neighborhood,
     grid_graph,
     grid_spec_from_labels,
     is_chordal,
@@ -19,6 +18,7 @@ from indmorse import (
     standard_graph,
 )
 from oracles import (
+    closed_neighborhood,
     grid_graph_pairwise,
     induced_delete,
     power_graph_pairwise,

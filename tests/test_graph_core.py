@@ -9,18 +9,23 @@ from indmorse import (
     CapabilityError,
     Graph,
     bits,
-    closed_neighborhood,
     domination_number,
     graph_from_json,
     graph_to_json,
     grid_graph,
     GridSpec,
-    is_clique,
     power_graph_cyclic,
     random_chordal,
     standard_graph,
 )
-from oracles import domination_number_scan, induced_delete, is_simplicial, universal_vertices
+from oracles import (
+    closed_neighborhood,
+    domination_number_scan,
+    induced_delete,
+    is_clique,
+    is_simplicial,
+    universal_vertices,
+)
 from test_generators import small_specs
 
 P3 = standard_graph("path", 3)

@@ -268,9 +268,8 @@ def test_subtree_intersection_stratum_is_confirmed_by_homology():
 
 
 def _certified_and_verified(g, build, *args):
-    trace = {}
-    res = build(g, *args, trace=trace)
-    return classify_tree(g, res, trace), classify(independence_complex(g), res)
+    res = build(g, *args)
+    return classify_tree(g, res), classify(independence_complex(g), res)
 
 
 def test_certified_classification_equals_the_verified_one():

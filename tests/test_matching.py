@@ -11,8 +11,8 @@ from indmorse import (
     SimplicialComplex,
     classify,
     extend_matching,
+    build_auto,
     build_chordal_matching,
-    check_acyclic,
     check_field,
     check_matching,
     critical_fvector_of,
@@ -22,7 +22,6 @@ from indmorse import (
     hasse_edges,
     independence_complex,
     is_maximal,
-    match_isolated,
     random_chordal,
     standard_graph,
     verify_acyclic,
@@ -64,11 +63,10 @@ def test_triangle_rim_cyclic_field_is_rejected():
     assert not verify_acyclic(TRIANGLE_RIM, CYCLIC_FIELD)
 
 
-def test_check_acyclic_reports_a_genuine_alternating_cycle():
-    ok, cycle = check_acyclic(TRIANGLE_RIM, CYCLIC_FIELD)
-    assert not ok
+def test_check_field_reports_a_genuine_alternating_cycle():
     cert = check_field(TRIANGLE_RIM, CYCLIC_FIELD)
-    assert not cert.ok and cert.error is None and cert.cycle == cycle
+    assert not cert.ok and cert.error is None
+    cycle = cert.cycle
     assert len(cycle) % 2 == 1 and cycle[0] == cycle[-1]
     up = dict(CYCLIC_FIELD)
     for k in range(0, len(cycle) - 1, 2):
@@ -78,9 +76,9 @@ def test_check_acyclic_reports_a_genuine_alternating_cycle():
         assert nxt != a and nxt & ~b == 0 and (b ^ nxt).bit_count() == 1
 
 
-def test_check_acyclic_rejects_invalid_matchings():
+def test_verify_acyclic_rejects_invalid_matchings():
     with pytest.raises(ValueError):
-        check_acyclic(XP3, [(0b001, 0b001)])
+        verify_acyclic(XP3, [(0b001, 0b001)])
     cert = check_field(XP3, [(0b001, 0b001)])
     assert not cert.ok and cert.error == check_matching(XP3, [(0b001, 0b001)])[1]
 
@@ -90,7 +88,7 @@ def test_critical_simplices_examples():
     crit, fvec = critical_simplices(xk3, [])
     assert crit == frozenset({1, 2, 4}) and fvec == (3,)
 
-    res = match_isolated(Graph.from_edges(4, [(0, 1), (1, 2)]), 3)
+    res = build_auto(res_graph())  # the cone on the isolated vertex 3
     crit, fvec = critical_simplices(independence_complex(res_graph()), res.pairs)
     assert crit == frozenset({0b1000}) and fvec == (1,)
 
@@ -164,7 +162,6 @@ def test_acyclicity_agrees_with_reachability_oracle():
             assert got == acyclic_by_reachability(x, pairs)
             cert = check_field(x, pairs)
             assert cert.ok == got and cert.error is None
-            assert cert.cycle == check_acyclic(x, pairs)[1]
             if got:
                 assert (cert.critical, cert.critical_f) == critical_simplices(x, pairs)
             seen_cyclic += not got
@@ -205,7 +202,7 @@ def count_passes(monkeypatch):
 def answers(x, pairs):
     """What each check says about pairs on x, errors included."""
     out = [verify_matching(x, pairs)]
-    for check in (check_acyclic, critical_simplices):
+    for check in (verify_acyclic, critical_simplices):
         try:
             out.append(check(x, pairs))
         except ValueError as err:
@@ -271,8 +268,8 @@ def test_kept_certificate_does_not_hide_a_cycle():
     assert verify_acyclic(rim, ((0b001, 0b011),))
     for pairs in (tuple(CYCLIC_FIELD), CYCLIC_FIELD):
         assert verify_matching(rim, pairs) and not verify_acyclic(rim, pairs)
-        ok, cycle = check_acyclic(rim, pairs)
-        assert not ok and cycle == check_acyclic(TRIANGLE_RIM, CYCLIC_FIELD)[1]
+        cycle = check_field(rim, pairs).cycle
+        assert cycle is not None and cycle == check_field(TRIANGLE_RIM, CYCLIC_FIELD).cycle
     assert verify_acyclic(rim, ((0b001, 0b011),))
 
 

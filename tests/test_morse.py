@@ -8,6 +8,7 @@ import pytest
 
 from indmorse import (
     CapabilityError,
+    check_field,
     ConstructionResult,
     Graph,
     GridSpec,
@@ -22,8 +23,6 @@ from indmorse import (
     grid_graph,
     independence_complex,
     is_maximal,
-    match_complete,
-    match_isolated,
     extend_matching,
     morse,
     power_graph_cyclic,
@@ -50,53 +49,46 @@ def check_result(g, res):
     return x
 
 
-def test_match_isolated_k1():
+# The isolated-vertex rule collapses I(G) onto {v}: with no neighbors, only
+# case (iii) applies, and every simplex avoiding v is paired with its
+# v-extension.
+def test_isolated_rule_k1():
     g = standard_graph("complete", 1)
-    res = match_isolated(g, 0)
+    res = build_auto(g)
     assert res.pairs == ((0, 1),)
     assert res.critical_set == frozenset({1}) and res.critical_f == (1,)
     assert res.special_zero == 1
     check_result(g, res)
 
 
-def test_match_isolated_two_points():
+def test_isolated_rule_two_points():
     g = standard_graph("empty", 2)
-    res = match_isolated(g, 0)
+    res = build_auto(g)
     assert set(res.pairs) == {(0, 1), (2, 3)}
     assert res.critical_set == frozenset({1})
     check_result(g, res)
 
 
-def test_match_isolated_cone_over_p3():
+def test_isolated_rule_cone_over_p3():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
-    res = match_isolated(g, 3)
+    res = build_auto(g)
     assert res.critical_f == (1,)
     assert res.critical_set == frozenset({0b1000})
     assert (0, 0b1000) in res.pairs
     check_result(g, res)
 
 
-def test_match_isolated_rejects_non_isolated():
-    with pytest.raises(ValueError):
-        match_isolated(standard_graph("path", 3), 1)
-
-
-def test_match_complete_examples():
-    for n in (1, 3):
+def test_complete_rule_examples():
+    # The empty matching on a clique: n critical points.  K1 has an
+    # isolated vertex, so it takes the rule above.
+    for n in (2, 3):
         g = standard_graph("complete", n)
-        res = match_complete(g)
+        res = build_auto(g)
         assert res.pairs == () and res.critical_f == (n,)
         assert res.special_zero is None
         check_result(g, res)
     col = grid_graph(GridSpec.of(2, 0, [[1], [1], [1]]))
-    assert match_complete(col).critical_f == (3,)
-
-
-def test_match_complete_rejects_bad_graphs():
-    with pytest.raises(ValueError):
-        match_complete(standard_graph("path", 3))
-    with pytest.raises(ValueError):
-        match_complete(standard_graph("empty", 0))
+    assert build_auto(col).critical_f == (3,)
 
 
 def test_extend_matching_p3():
@@ -290,7 +282,7 @@ def _builds_with_every_driver():
         yield g, build_auto
     for spec in itertools.islice(small_specs(2, 2, 2), 0, None, 9):
         g = grid_graph(spec)
-        yield g, lambda g, trace, spec=spec: build_grid_matching(g, spec, trace)
+        yield g, lambda g, trace=None, spec=spec: build_grid_matching(g, spec, trace)
         yield g, build_auto
 
 
@@ -459,128 +451,154 @@ P7 = standard_graph("path", 7)
 # An edge {0, 1} beside a path on 2..6: v = 0, and the child under u = 1 is
 # the path, whose critical cells are one 0-simplex and one 1-simplex.
 EDGE_AND_P5 = Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6)])
-
-
-def _tampered(g, mask=None, critical=None, **entries):
-    """g's auto-driver trace with node ``mask`` (default the root) changed."""
-    trace = {}
-    build_auto(g, trace=trace)
-    mask = g.full_mask if mask is None else mask
-    node = dict(trace[mask], **entries)
-    if critical is not None:
-        node["result"] = dataclasses.replace(
-            node["result"], critical_set=frozenset(critical(trace, node))
-        )
-    trace[mask] = node
-    return trace
-
-
-def _lift_swap(trace, node):
-    # Keep x_1 + 1 and drop the lift of the child's critical 1-simplex.
-    child = trace[node["children"][1]]["result"].critical_set
-    (x1,) = (c for c in child if c.bit_count() == 1)
-    (edge,) = (c for c in child if c.bit_count() == 2)
-    return node["result"].critical_set - {edge | 0b10} | {x1 | 0b10}
-
-
-def _without_child(g):
-    trace = _tampered(g)
-    del trace[trace[g.full_mask]["children"][1]]
-    return trace
-
-
-def _restepped(g, mask, u, **step):
-    """g's auto-driver trace with the recipe step for u at node ``mask``
-    changed or added: its child node or its x_u."""
-    trace = {}
-    build_auto(g, trace=trace)
-    res = trace[mask]["result"]
-    steps = {w: {"child": child, "xu": xu} for w, child, xu in res.recipe[3]}
-    steps[u] = dict(steps.get(u, {}), **step)
-    listed = tuple((w, s["child"], s["xu"]) for w, s in sorted(steps.items()))
-    recipe = (*res.recipe[:3], listed)
-    trace[mask] = dict(trace[mask], result=dataclasses.replace(res, recipe=recipe))
-    return trace
-
-
-def _swapped(g, mask, other):
-    """g's auto-driver trace with node ``mask`` holding node ``other``'s result."""
-    trace = {}
-    build_auto(g, trace=trace)
-    trace[mask] = dict(trace[mask], result=trace[other]["result"])
-    return trace
-
-
 # The edge {0, 1} beside the edge {2, 3}: v = 0, and the child under u = 1
 # is the clique {2, 3}, with two critical 0-simplices.
 TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
 
 
+def _child(node, u):
+    """The child node of ``node``'s recipe step for u."""
+    return next(child for w, child, _ in node.recipe[3] if w == u)
+
+
+def _replaced(node, **changes):
+    """``node`` with fields changed; a recipe's pairs are left underived."""
+    if node.recipe is not None:
+        changes.setdefault("pairs", None)
+    return dataclasses.replace(node, **changes)
+
+
+def _recipe(node, **parts):
+    """``node`` with parts of its recipe (v, or the step list) changed."""
+    adj, mask, v, steps = node.recipe
+    parts = {"v": v, "steps": steps, **parts}
+    return _replaced(node, recipe=(adj, mask, parts["v"], parts["steps"]))
+
+
+def _restep(node, u, **step):
+    """``node`` with its recipe step for u changed or added: the child node
+    or x_u."""
+    steps = {w: {"child": child, "xu": xu} for w, child, xu in node.recipe[3]}
+    steps[u] = dict(steps.get(u, {}), **step)
+    listed = tuple((w, s["child"], s["xu"]) for w, s in sorted(steps.items()))
+    return _recipe(node, steps=listed)
+
+
+def _critical(node, change):
+    """``node`` with its critical set changed by ``change(critical_set)``."""
+    return _replaced(node, critical_set=frozenset(change(node.critical_set)))
+
+
 def test_certificate_accepts_the_builds():
     for g in (P5, EDGE_AND_P5, GRID11, standard_graph("complete", 3)):
-        trace = {}
-        res = build_auto(g, trace=trace)
-        cert = certify_tree(g, trace)
+        res = build_auto(g)
+        cert = certify_tree(g, res)
         assert cert.ok and cert.critical == res.critical_set
         assert cert.critical_f == res.critical_f
-    assert certify_tree(standard_graph("empty", 0), {}).critical == frozenset()
+    empty = standard_graph("empty", 0)
+    assert certify_tree(empty, build_auto(empty)).critical == frozenset()
 
 
-ROOT = P5.full_mask
+def test_certificate_checks_each_node_once(monkeypatch):
+    checked = []
+    node_fault = morse._node_fault
+
+    def counted(adj, mask, node):
+        checked.append(mask)
+        return node_fault(adj, mask, node)
+
+    monkeypatch.setattr(morse, "_node_fault", counted)
+    for g, build in itertools.islice(_builds_with_every_driver(), 0, None, 7):
+        trace = {}
+        try:
+            res = build(g, trace=trace)
+        except UnsupportedGraphError:
+            continue
+        checked.clear()
+        certify_tree(g, res)
+        # Memoized nodes are shared by several parents.
+        assert sorted(checked) == sorted(trace)
 
 
-# Each tampering is at one node: the root, which the post-order trace lists
-# last, the clique {3, 4} under P5's root, or the path {3, ..., 6} under P7's.
-@pytest.mark.parametrize(
-    "g, mask, trace, hypothesis",
-    [
-        (P5, ROOT, _tampered(P5, v=2), "v is not simplicial"),
-        (P5, ROOT, _tampered(P5, v=None), "v is not in the mask"),
-        (P7, 0b1111000, _tampered(P7, mask=0b1111000, v=0), "v is not in the mask"),
-        (P5, ROOT, _tampered(P5, children={1: 0b11100}), "child masks"),
-        (P5, ROOT, _without_child(P5), "child 1 is not a node"),
-        (EDGE_AND_P5, EDGE_AND_P5.full_mask,
-         _tampered(EDGE_AND_P5, critical=_lift_swap),
-         "x_1 is not a critical 0-simplex"),
-        (P5, ROOT,
-         _tampered(P5, critical=lambda t, node: node["result"].critical_set | {0b101}),
-         "the critical set is not the extension's"),
-        (P5, ROOT,
-         _tampered(P5, rule="complete", v=None, children={},
-                   critical=lambda t, node: {1 << w for w in range(5)}),
-         "the mask is not a clique"),
-        (P5, 0b11000, _tampered(P5, mask=0b11000, critical=lambda t, node: {0b1000}),
-         "critical cells are not its singletons"),
-        # P7's root v = 0 holds the recipe of {3, ..., 6}, whose v is 3.
-        (P7, P7.full_mask, _swapped(P7, P7.full_mask, 0b1111000),
-         "the recipe is not this node's extension step"),
-        # P5's root v = 0 has the one child under u = 1.
-        (P5, ROOT,
-         _restepped(P5, ROOT, 2, child=match_complete(standard_graph("complete", 1)), xu=1),
-         "the recipe has a step for no child"),
-        # x_1 = {2} is dropped from the critical set; the recipe names {3}.
-        (TWO_EDGES, 0b1111, _restepped(TWO_EDGES, 0b1111, 1, xu=0b1000),
-         "the recipe's x_1 is not the critical 0-simplex dropped"),
-        # The child of {3, ..., 6} under u = 4 is {6}; the cone on 6 over
-        # 0, ..., 5 has the same critical cells and other pairs.
-        (P7, 0b1111000,
-         _restepped(P7, 0b1111000, 4, child=match_isolated(standard_graph("empty", 7), 6)),
-         "the recipe's child 4 is not the node of mask - N[4]"),
-    ],
-)
-def test_certificate_names_the_failing_node(g, mask, trace, hypothesis):
+def test_certificate_equals_the_field_check():
+    built = 0
+    for g, build in _builds_with_every_driver():
+        try:
+            res = build(g)
+        except UnsupportedGraphError:
+            continue
+        cert = certify_tree(g, res)
+        field = check_field(independence_complex(g), res.pairs)
+        assert field.ok and cert.critical == field.critical
+        assert cert.critical_f == field.critical_f
+        built += 1
+    assert built > 150
+
+
+def _tampered_trees():
+    """(graph, tampered tree, mask of the failing node, hypothesis).  Each
+    tree has one node changed, spliced into its parent where it is not the
+    root; the parent's checks still pass, so the changed node fails first."""
+    p5 = build_auto(P5)
+    p7 = build_auto(P7)
+    # P7's root v = 0 has the one child {3, ..., 6} under u = 1, whose v is 3.
+    p7_child = _child(p7, 1)
+    yield pytest.param(
+        P5, _recipe(p5, v=2), P5.full_mask, "v is not simplicial",
+        id="v-not-simplicial")
+    yield pytest.param(
+        P5, _recipe(p5, v=5), P5.full_mask, "v is not in the mask",
+        id="v-outside-the-graph")
+    yield pytest.param(
+        P7, _restep(p7, 1, child=_recipe(p7_child, v=0)), 0b1111000,
+        "v is not in the mask", id="child-v-outside-its-mask")
+    yield pytest.param(
+        P7, p7_child, P7.full_mask, "the recipe is not this node's extension step",
+        id="root-holds-a-child-recipe")
+    chorded = Graph.from_edges(5, P5.edges() + [(2, 4)])
+    yield pytest.param(
+        P5, build_auto(chorded), P5.full_mask,
+        "the recipe is not this node's extension step", id="tree-of-another-graph")
+    # The child of {3, ..., 6} under u = 4 is {6}; the cone on 6 over three
+    # edges has the same critical cells and other pairs.
+    cone = build_auto(Graph.from_edges(7, [(0, 1), (2, 3), (4, 5)]))
+    yield pytest.param(
+        P7, _restep(p7, 1, child=_restep(p7_child, 4, child=cone)), 0b1000000,
+        "the recipe is not this node's extension step", id="child-from-another-graph")
+    # P5's root v = 0 has the one child under u = 1; u = 2 is no neighbor.
+    yield pytest.param(
+        P5, _restep(p5, 2, child=_child(p5, 1), xu=0b1000), P5.full_mask,
+        "the steps are not the u in N(v) with mask - N[u] nonempty",
+        id="step-for-a-non-neighbor")
+    edge_and_p5 = build_auto(EDGE_AND_P5)
+    (edge,) = (c for c in _child(edge_and_p5, 1).critical_set if c.bit_count() == 2)
+    yield pytest.param(
+        EDGE_AND_P5, _restep(edge_and_p5, 1, xu=edge), EDGE_AND_P5.full_mask,
+        "x_1 is not a critical 0-simplex of child 1", id="x_u-not-a-0-simplex")
+    yield pytest.param(
+        P5, _critical(p5, lambda crit: crit | {0b101}), P5.full_mask,
+        "the critical set is not the extension's", id="extra-critical-cell")
+    # x_1 = {2} is dropped from the critical set; the recipe names {3}.
+    yield pytest.param(
+        TWO_EDGES, _restep(build_auto(TWO_EDGES), 1, xu=0b1000), 0b1111,
+        "the critical set is not the extension's", id="x_u-not-the-dropped-cell")
+    singletons = frozenset(1 << w for w in range(5))
+    yield pytest.param(
+        P5, _replaced(p5, pairs=(), recipe=None, critical_set=singletons),
+        P5.full_mask, "the mask is not a clique", id="recipe-less-non-clique")
+    k3 = standard_graph("complete", 3)
+    yield pytest.param(
+        k3, _critical(build_auto(k3), lambda crit: {0b001}), k3.full_mask,
+        "a clique's critical cells are not its singletons",
+        id="clique-cells-not-singletons")
+
+
+@pytest.mark.parametrize("g, tree, mask, hypothesis", list(_tampered_trees()))
+def test_certificate_names_the_failing_node(g, tree, mask, hypothesis):
     with pytest.raises(ValueError) as exc:
-        certify_tree(g, trace)
+        certify_tree(g, tree)
     message = str(exc.value)
     assert message.startswith(
         f"extension hypothesis fails at node {sorted(bits(mask))}: "
     )
     assert hypothesis in message
-
-
-def test_certificate_needs_the_root():
-    trace = {}
-    build_auto(P5, trace=trace)
-    del trace[P5.full_mask]
-    with pytest.raises(ValueError, match="no node for the full graph"):
-        certify_tree(P5, trace)
