@@ -193,7 +193,7 @@ def _morse_ok(fvec, betti) -> bool:
 
 
 def _oracle_consistent(h, fvec, profile) -> bool:
-    if h is not None and h.kind != "unclassified":
+    if h.kind != "unclassified":
         return consistency_with_homology(h, profile)
     return _euler_ok(fvec, profile.betti) and _morse_ok(fvec, profile.betti)
 
@@ -232,11 +232,9 @@ def cmd_analyze(args) -> int:
     timings: dict[str, float] = {}
     summary, spec = _graph_summary(g)
     report: dict = {"graph": summary, "mode": args.mode}
-    chordal = summary["chordal"]
     if args.seed is not None:
         report["seed"] = args.seed
     failed = False
-    h: HomotopyType | None = None
 
     if args.mode == "explicit":
         result = _build(g, args.driver, spec)
@@ -264,15 +262,16 @@ def cmd_analyze(args) -> int:
             else:
                 fvec = grid_critical_fvector(spec)
         else:
-            if args.driver == "chordal" and not chordal:
+            if args.driver == "chordal" and not summary["chordal"]:
                 raise ValueError("graph is not chordal")
             fvec = critical_fvector_recursive(g)
         timings["build_s"] = round(time.perf_counter() - started, 6)
         report["driver"] = args.driver
         report["critical_f"] = list(fvec)
-        if args.driver == "grid" or chordal:
-            h = homotopy_from_counts(fvec)
-            report["homotopy"] = _homotopy_json(h)
+        # The count route's selection is a build's, whose certificate proves
+        # every critical cell but one 0-simplex maximal.
+        h = homotopy_from_counts(fvec)
+        report["homotopy"] = _homotopy_json(h)
 
     if args.oracle:
         t0 = time.perf_counter()
@@ -291,12 +290,9 @@ def cmd_analyze(args) -> int:
             report["gamma"] = "skipped"
         else:
             report["gamma"] = gamma
-            if h is not None and h.kind != "unclassified":
-                ok = check_domination_bound(g, h)
-                report["gamma_bound_ok"] = ok
-                failed = failed or not ok
-            else:
-                report["gamma_bound_ok"] = "skipped"
+            ok = check_domination_bound(g, h)
+            report["gamma_bound_ok"] = ok
+            failed = failed or not ok
 
     if args.timings:
         timings["total_s"] = round(time.perf_counter() - started, 6)

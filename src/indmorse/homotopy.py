@@ -1,18 +1,20 @@
 """Homotopy-type classification from the shape of a gradient field.
 
-Three sufficient conditions are tried in order; each one pins the complex
-down as collapsible or as a wedge of spheres with one sphere per critical
-simplex of positive dimension.  When none applies the result is honestly
-Unclassified rather than a guess.
+classify verifies a matching on a complex and tries three sufficient
+conditions in order; each one pins the complex down as collapsible or as a
+wedge of spheres with one sphere per critical simplex of positive
+dimension.  When none applies the result is honestly Unclassified rather
+than a guess.  classify_tree needs no complex: the certificate of a build
+proves that every critical cell but one 0-simplex is maximal, so the first
+condition holds and the type follows from the critical counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from .complexes import SimplicialComplex, independence_complex, is_maximal
-from .graph_core import Graph, bits, domination_number
+from .complexes import SimplicialComplex, is_maximal
+from .graph_core import Graph, domination_number
 from .homology import HomologyProfile
 from .matching import _pair_maps, _vpath_reachable, check_field
 from .morse import ConstructionResult, certify_tree
@@ -67,22 +69,6 @@ _UNCLASSIFIED = HomotopyType(
 )
 
 
-def _decide(result, critical, fvec, maximal, descending) -> HomotopyType:
-    """The one decision of both ways in: tests 1 and 2 read the critical
-    cells and ``maximal(s)``; ``descending()`` runs test 3 when needed."""
-    if critical != result.critical_set or fvec != result.critical_f:
-        raise ValueError("result does not describe its own matching")
-    # With no critical simplex, homotopy_from_counts raises.
-    non_maximal = [s for s in critical if not maximal(s)]
-    if not non_maximal or (
-        len(non_maximal) == 1 and non_maximal[0].bit_count() == 1
-    ):
-        return homotopy_from_counts(fvec)
-    if len(fvec) >= 2 and fvec[0] == 1 and all(c == 0 for c in fvec[1:-1]):
-        return _wedge([0] * (len(fvec) - 1) + [fvec[-1]])
-    return descending() if fvec[0] == 1 else _UNCLASSIFIED
-
-
 def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     """Classify the homotopy type read off an acyclic matching on x,
     verifying the matching on x first."""
@@ -92,40 +78,37 @@ def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     if cert.cycle is not None:
         raise ValueError("matching is not acyclic")
     critical, fvec = cert.critical, cert.critical_f
-
-    def descending() -> HomotopyType:
-        # Every higher critical cell reaches no critical cell but itself
-        # and the one 0-simplex along generalized paths.
-        zero = next(s for s in critical if s.bit_count() == 1)
-        up, _ = _pair_maps(result.pairs)
-        if all(
-            _vpath_reachable(up, critical, s) <= {s, zero}
-            for s in critical
-            if s.bit_count() >= 2
-        ):
-            return _wedge([0] + list(fvec[1:]))
+    if critical != result.critical_set or fvec != result.critical_f:
+        raise ValueError("result does not describe its own matching")
+    # With no critical simplex, homotopy_from_counts raises.
+    non_maximal = [s for s in critical if not is_maximal(x, s)]
+    if not non_maximal or (
+        len(non_maximal) == 1 and non_maximal[0].bit_count() == 1
+    ):
+        return homotopy_from_counts(fvec)
+    if len(fvec) >= 2 and fvec[0] == 1 and all(c == 0 for c in fvec[1:-1]):
+        return _wedge([0] * (len(fvec) - 1) + [fvec[-1]])
+    if fvec[0] != 1:
         return _UNCLASSIFIED
-
-    return _decide(result, critical, fvec, partial(is_maximal, x), descending)
+    # Every higher critical cell reaches no critical cell but itself and the
+    # one 0-simplex along generalized paths.
+    zero = next(s for s in critical if s.bit_count() == 1)
+    up, _ = _pair_maps(result.pairs)
+    if all(
+        _vpath_reachable(up, critical, s) <= {s, zero}
+        for s in critical
+        if s.bit_count() >= 2
+    ):
+        return _wedge([0] + list(fvec[1:]))
+    return _UNCLASSIFIED
 
 
 def classify_tree(g: Graph, result: ConstructionResult) -> HomotopyType:
-    """The classify decision for a build of g, certified on its recursion
-    tree by the extension theorem (morse.certify_tree) instead of verified
-    on I(g).  sigma is a facet of I(g) iff sigma + N(sigma) covers g; I(g) is
-    built only for the descending-path test, which reads the pairs."""
-    cert = certify_tree(g, result)
-
-    def maximal(s: int) -> bool:
-        covered = s
-        for w in bits(s):
-            covered |= g.adj[w]
-        return covered == g.full_mask
-
-    return _decide(
-        result, cert.critical, cert.critical_f, maximal,
-        lambda: classify(independence_complex(g), result),
-    )
+    """The type of a build of g, certified on its recursion tree by the
+    extension theorem (morse.certify_tree) instead of verified on I(g).  The
+    certificate proves every critical cell but the special 0-simplex
+    maximal, so the type follows from the critical counts alone."""
+    return homotopy_from_counts(certify_tree(g, result).critical_f)
 
 
 def check_domination_bound(g: Graph, h: HomotopyType) -> bool:

@@ -22,7 +22,8 @@ its recipe: v, its mask and, per child, (u, child node, x_u).  Its pairs
 are derived from the recipe on first read and then kept, so a build whose
 caller reads only the critical data enumerates no case-(iii) set.  The
 tree is also the certificate: certify_tree walks the recipes from the root
-and checks the extension theorem's hypotheses at each node.  A ``trace``
+and checks the extension theorem's hypotheses at each node, which also
+prove every critical cell but the root's {v} maximal.  A ``trace``
 dict, when a caller passes one, records every node for counting and tests;
 no code here reads it.
 """
@@ -71,7 +72,8 @@ class ConstructionResult:
 
     ``special_zero`` is the one critical 0-simplex that may fail to be
     maximal (the {v} of the outermost extension step); None when every
-    critical simplex is maximal by construction.  An extension node keeps
+    critical simplex is maximal by construction.  certify_tree proves this
+    promise from the recipes.  An extension node keeps
     its ``recipe`` (adj, mask, v, ((u, child, x_u), ...)) and is built
     with pairs None; its pairs are derived from the recipe on first read.
     """
@@ -106,22 +108,11 @@ def _result(pairs, critical, special_zero, driver, recipe=None) -> ConstructionR
     )
 
 
-def _is_universal_in(g: Graph, v: int, mask: int) -> bool:
-    return (g.adj[v] | 1 << v) & mask == mask
-
-
-def _choose_xu(g: Graph, child_mask: int, child: ConstructionResult) -> int:
-    """Pick the 0-simplex paired against {u}.
-
-    Prefer the child's special 0-simplex when it is non-maximal in the child
-    complex (a 0-simplex is maximal there exactly when its vertex is
-    universal in the child graph); otherwise take the smallest-id critical
-    0-simplex.
-    """
-    sz = child.special_zero
-    if sz is not None and sz in child.critical_set:
-        if not _is_universal_in(g, sz.bit_length() - 1, child_mask):
-            return sz
+def _choose_xu(child: ConstructionResult) -> int:
+    """The 0-simplex paired against {u}: the child's special 0-simplex, or,
+    when it has none, its smallest-id critical 0-simplex."""
+    if child.special_zero is not None:
+        return child.special_zero
     zeros = [s for s in child.critical_set if s.bit_count() == 1]
     if not zeros:
         raise ValueError("sub-matching has no critical 0-simplex")
@@ -151,7 +142,7 @@ def _scoped_node(
             critical.append(bit_u)
             continue
         child = children[u]
-        xu = _choose_xu(g, mask_u, child)
+        xu = _choose_xu(child)
         steps.append((u, child, xu))
         for c in child.critical_set:
             if c != xu:
@@ -182,7 +173,8 @@ def extend_matching(
     """One extension step on the full graph, validating the sub-matchings.
 
     ``sub`` must supply, for every non-universal u in N(v), an acyclic
-    matching on I(G - N[u]) expressed in original vertex ids.
+    matching on I(G - N[u]) expressed in original vertex ids, whose critical
+    data is its own and whose special 0-simplex, if any, is critical.
     """
     g._check_vertex(v)
     _check_cap(g)
@@ -203,7 +195,14 @@ def extend_matching(
         if u not in sub:
             raise ValueError(f"missing sub-matching for neighbor {u}")
         x_u = SimplicialComplex(g.n, frozenset(_independent_sets(g.adj, mask_u)))
-        if not check_field(x_u, sub[u].pairs).ok:
+        cert = check_field(x_u, sub[u].pairs)
+        sz = sub[u].special_zero
+        if (
+            not cert.ok
+            or sub[u].critical_set != cert.critical
+            or sub[u].critical_f != cert.critical_f
+            or sz is not None and (sz.bit_count() != 1 or sz not in cert.critical)
+        ):
             raise ValueError(f"sub-matching for neighbor {u} is invalid")
         checked[u] = sub[u]
     return _scoped_node(g, full, v, checked, "extend")
@@ -319,11 +318,12 @@ def _node_fault(adj, mask: int, node: ConstructionResult) -> str | None:
     """The extension theorem's first local hypothesis that fails at one node
     of a tree, reached at ``mask``, or None.  A node with no recipe is a
     clique whose singletons are critical.  A recipe (adj, mask, v, steps) is
-    this node's; v is in the mask and simplicial there; the steps are the u
-    in N(v) & mask with mask - N[u] nonempty, in order; each x_u is a
-    critical 0-simplex of its child; and the critical set is {v}, the {u}
-    with no child, and the lifts c + u of child u's critical cells but
-    x_u + u."""
+    this node's; v is in the mask and simplicial there; the special
+    0-simplex is {v}; the steps are the u in N(v) & mask with mask - N[u]
+    nonempty, in order; each x_u is a critical 0-simplex of its child, and
+    the child's special 0-simplex when it has one; and the critical set is
+    {v}, the {u} with no child, and the lifts c + u of child u's critical
+    cells but x_u + u."""
     crit = node.critical_set
     if node.recipe is None:
         if any(mask & ~(adj[w] | 1 << w) for w in bits(mask)):
@@ -339,6 +339,8 @@ def _node_fault(adj, mask: int, node: ConstructionResult) -> str | None:
     nv = adj[v] & mask
     if any(nv & ~(adj[u] | 1 << u) for u in bits(nv)):
         return "v is not simplicial"
+    if node.special_zero != 1 << v:
+        return "the special 0-simplex is not {v}"
     expected = {1 << v}
     stepped = []
     for u in bits(nv):
@@ -351,6 +353,8 @@ def _node_fault(adj, mask: int, node: ConstructionResult) -> str | None:
     for u, child, xu in steps:
         if xu.bit_count() != 1 or xu not in child.critical_set:
             return f"x_{u} is not a critical 0-simplex of child {u}"
+        if child.special_zero not in (None, xu):
+            return f"x_{u} is not the special 0-simplex of child {u}"
         expected.update(c | 1 << u for c in child.critical_set if c != xu)
     if crit != expected:
         return "the critical set is not the extension's"
@@ -361,9 +365,13 @@ def certify_tree(g: Graph, result: ConstructionResult) -> FieldCertificate:
     """Certify a build by the extension theorem: walking the recipes from
     the root, its local hypotheses hold at every (mask, node) of the tree
     (O(nodes * n) bit operations), so the root's matching is acyclic with the
-    returned critical set.  Pairs derived from the recipes are then the
-    theorem's; pairs given explicitly are left to check_field.  Raises
-    ValueError naming the first node that fails and the hypothesis."""
+    returned critical set, and every critical cell but its special 0-simplex
+    is maximal: a lift c + u is iff c is in mask - N[u], a {u} with no child
+    is, and x_u takes the child's one cell that may not be, its {v}.  Pairs
+    derived from the recipes are then the theorem's; pairs given explicitly
+    are left to check_field.  Raises ValueError naming the first node that
+    fails and the hypothesis, or if the root's critical_f is not its
+    critical set's."""
     seen: set[tuple[int, int]] = set()
     stack = [(g.full_mask, result)]
     while stack:
@@ -380,7 +388,10 @@ def certify_tree(g: Graph, result: ConstructionResult) -> FieldCertificate:
                 (mask & ~(g.adj[u] | 1 << u), child) for u, child, _ in node.recipe[3]
             )
     crit = result.critical_set
-    return FieldCertificate(critical=crit, critical_f=critical_fvector_of(crit))
+    fvec = critical_fvector_of(crit)
+    if fvec != result.critical_f:
+        raise ValueError("result does not describe its own matching")
+    return FieldCertificate(critical=crit, critical_f=fvec)
 
 
 def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionResult:

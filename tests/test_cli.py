@@ -11,6 +11,7 @@ import inspect
 import io
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
 
@@ -34,6 +35,7 @@ from indmorse import (
 from indmorse.cli import main
 from test_generators import small_specs
 from test_graph_core import graphs
+from test_homotopy import random_non_chordal
 
 
 def run(capsys, *argv):
@@ -458,6 +460,54 @@ def test_explicit_analyze_builds_no_complex_without_the_oracle(
         calls.clear()
         assert run(capsys, *argv)[0] == 0, argv
         assert calls == want, argv
+
+
+def test_explicit_analyze_tests_no_cell_for_maximality(capsys, tmp_path):
+    # Six K3 and two K4 side by side: I(G) is a wedge of 576 7-spheres, and
+    # the build has 577 critical cells.  The certificate proves all but {v}
+    # maximal, so the type is read off the counts, with no complex, no
+    # per-cell test and no second classifier.
+    cliques = [3] * 6 + [4] * 2
+    edges, first = [], 0
+    for size in cliques:
+        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        edges += [[first + a, first + b] for a, b in pairs]
+        first += size
+    path = write_graph(tmp_path, "cliques.json", first, edges)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code, report, _ = run_json(capsys, "analyze", path)
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and report["critical_f"] == [1] + [0] * 6 + [576]
+    assert called & {"classify_tree", "certify_tree"}
+    assert not {name for name in called if "maximal" in name}
+    assert not called & {"independence_complex", "classify"}
+
+
+def test_counts_and_explicit_analyze_agree_on_non_chordal_graphs(capsys, tmp_path):
+    answered = 0
+    for seed in range(60):
+        g = random_non_chordal(seed)
+        path = tmp_path / f"g{seed}.json"
+        path.write_text(json.dumps(graph_to_json(g)), encoding="utf-8")
+        explicit = run(capsys, "analyze", str(path), "--gamma")
+        counts = run(capsys, "analyze", str(path), "--mode", "counts", "--gamma")
+        assert explicit[0] == counts[0], seed
+        if explicit[0] == 3:
+            continue
+        explicit, counts = json.loads(explicit[1]), json.loads(counts[1])
+        assert explicit["graph"]["chordal"] is False
+        assert counts["homotopy"] == explicit["homotopy"], seed
+        assert counts["gamma_bound_ok"] is explicit["gamma_bound_ok"] is True, seed
+        answered += 1
+    assert answered > 30
 
 
 def test_explicit_analyze_passes_no_trace_to_the_build(

@@ -22,6 +22,8 @@ from indmorse import (
     grid_graph,
     homology_integer,
     independence_complex,
+    is_chordal,
+    is_maximal,
     power_graph_cyclic,
     random_chordal,
     standard_graph,
@@ -269,13 +271,28 @@ def test_subtree_intersection_stratum_is_confirmed_by_homology():
 
 def _certified_and_verified(g, build, *args):
     res = build(g, *args)
-    return classify_tree(g, res), classify(independence_complex(g), res)
+    x = independence_complex(g)
+    # The certificate's lemma: every critical cell but special_zero is a facet.
+    assert all(is_maximal(x, s) for s in res.critical_set - {res.special_zero})
+    return classify_tree(g, res), classify(x, res)
+
+
+def random_non_chordal(seed: int) -> Graph:
+    """A seeded G(n, p) graph on 4..11 vertices, redrawn until it is not
+    chordal."""
+    rng = random.Random(seed)
+    while True:
+        n, p = rng.randint(4, 11), rng.uniform(0.15, 0.6)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        g = Graph.from_edges(n, edges)
+        if not is_chordal(g):
+            return g
 
 
 def test_certified_classification_equals_the_verified_one():
     # Every driver that accepts the graph: chordal and auto on chordal
     # graphs, grid and auto (when every stage has a simplicial vertex) on
-    # labelled grids.
+    # labelled grids and on random non-chordal graphs.
     chordal = [random_chordal(1 + seed % 14, (seed % 6) / 5, seed) for seed in range(120)]
     chordal += [subtree_intersection_graph(5 + seed % 12, seed) for seed in range(60)]
     for g in chordal:
@@ -294,33 +311,44 @@ def test_certified_classification_equals_the_verified_one():
         assert certified == verified
         grids += 1
     assert grids > 50
+    non_chordal = 0
+    for seed in range(120):
+        g = random_non_chordal(seed)
+        try:
+            certified, verified = _certified_and_verified(g, build_auto)
+        except UnsupportedGraphError:
+            continue
+        assert certified == verified
+        non_chordal += 1
+    assert non_chordal > 60
 
 
-def test_certified_classification_builds_the_complex_for_the_path_test(monkeypatch):
-    # With x_u the largest critical 0-simplex instead of the child's
-    # non-maximal one, the tree still satisfies the extension theorem, but
-    # lifted non-maximal cells survive, so tests 1 and 2 can fail.  Only the
-    # descending-path test reads the pairs, so only it needs the complex.
+def test_classify_tree_rejects_an_x_u_other_than_the_special_zero(monkeypatch):
+    # With x_u the largest critical 0-simplex instead of the child's special
+    # one, the tree meets every other hypothesis of the extension theorem,
+    # but lifted non-maximal cells survive.  The certificate names the x_u
+    # hypothesis; classify on the complex reaches tests 2 and 3.
     monkeypatch.setattr(
         morse, "_choose_xu",
-        lambda g, mask, child: max(s for s in child.critical_set if s.bit_count() == 1),
+        lambda child: max(s for s in child.critical_set if s.bit_count() == 1),
     )
-    # The verified side calls this module's classify, which is not wrapped.
-    verify = homotopy.classify
+    reachable = homotopy._vpath_reachable
     calls = []
 
-    def counted(x, res):
-        calls.append(res)
-        return verify(x, res)
+    def counted(*args):
+        calls.append(args)
+        return reachable(*args)
 
-    monkeypatch.setattr(homotopy, "classify", counted)
+    monkeypatch.setattr(homotopy, "_vpath_reachable", counted)
     for seed, path_test, kind in (
         (74, False, "unclassified"),
         (108, True, "wedge"),
         (213, True, "unclassified"),
     ):
         g = random_chordal(6 + seed % 7, 0.5 + (seed % 5) / 10, seed)
+        res = build_auto(g)
+        with pytest.raises(ValueError, match="is not the special 0-simplex of child"):
+            classify_tree(g, res)
         calls.clear()
-        certified, verified = _certified_and_verified(g, build_auto)
-        assert certified == verified and certified.kind == kind, seed
-        assert len(calls) == path_test, seed
+        assert classify(independence_complex(g), res).kind == kind, seed
+        assert bool(calls) == path_test, seed

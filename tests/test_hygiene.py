@@ -96,6 +96,17 @@ def test_acceptance_gates_never_name_the_certificate():
     assert not names & {"certify_tree", "classify_tree"}
 
 
+def test_classify_never_names_the_certificate():
+    # The gates classify through homotopy.classify, which must verify the
+    # field itself rather than lean on the construction's certificate.
+    tree = ast.parse((SRC / "homotopy.py").read_text(encoding="utf-8"))
+    (classify,) = (
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "classify"
+    )
+    assert not set(_references(classify)) & {"certify_tree", "classify_tree"}
+
+
 def test_only_matching_names_the_certificate_slot():
     # check_field keeps its certificate in the complex's instance dict; code
     # elsewhere that named the slot could fill it without the checks.

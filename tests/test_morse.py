@@ -154,6 +154,34 @@ def test_extend_matching_rejects_bad_sub_matchings():
     )
     with pytest.raises(ValueError):
         extend_matching(p5, 0, {1: outside})
+    # With no pair, both {3} and {4} are critical in I(G - N[1]).
+    own = ConstructionResult(
+        pairs=(),
+        critical_set=frozenset({0b01000, 0b10000}),
+        critical_f=(2,),
+        special_zero=None,
+        driver="auto",
+    )
+    assert extend_matching(p5, 0, {1: own}).critical_f == (1, 1)
+    for bad in (
+        # Valid pairs whose critical data is not theirs: understated, a
+        # wrong set with the right f-vector, the right set with a wrong one.
+        dataclasses.replace(own, critical_set=frozenset({0b01000}), critical_f=(1,)),
+        dataclasses.replace(own, critical_set=frozenset({0b01000, 0b00100})),
+        dataclasses.replace(own, critical_f=(1,)),
+        # {2} is no cell of I(G - N[1]), so it cannot be the special 0-simplex.
+        dataclasses.replace(own, special_zero=0b00100),
+    ):
+        with pytest.raises(ValueError, match="sub-matching for neighbor 1 is invalid"):
+            extend_matching(p5, 0, {1: bad})
+    # On P6, {3, 5} is a critical cell of I(G - N[1]) but no 0-simplex.
+    cells = frozenset({0b001000, 0b010000, 0b100000, 0b101000})
+    edge = ConstructionResult(
+        pairs=(), critical_set=cells, critical_f=(3, 1), special_zero=0b101000,
+        driver="auto",
+    )
+    with pytest.raises(ValueError, match="sub-matching for neighbor 1 is invalid"):
+        extend_matching(standard_graph("path", 6), 0, {1: edge})
 
 
 def test_build_chordal_examples():
@@ -454,6 +482,9 @@ EDGE_AND_P5 = Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6)])
 # The edge {0, 1} beside the edge {2, 3}: v = 0, and the child under u = 1
 # is the clique {2, 3}, with two critical 0-simplices.
 TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
+# The edge {0, 1} beside the path 2-3-4: v = 0, and the child under u = 1
+# has the critical 0-simplices {2}, its special one, and {3}.
+EDGE_AND_P3 = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
 
 
 def _child(node, u):
@@ -497,6 +528,12 @@ def test_certificate_accepts_the_builds():
         assert cert.critical_f == res.critical_f
     empty = standard_graph("empty", 0)
     assert certify_tree(empty, build_auto(empty)).critical == frozenset()
+
+
+def test_certificate_checks_the_root_critical_f():
+    res = build_auto(P5)
+    with pytest.raises(ValueError, match="result does not describe its own matching"):
+        certify_tree(P5, _replaced(res, critical_f=(2, 1)))
 
 
 def test_certificate_checks_each_node_once(monkeypatch):
@@ -582,6 +619,19 @@ def _tampered_trees():
     yield pytest.param(
         TWO_EDGES, _restep(build_auto(TWO_EDGES), 1, xu=0b1000), 0b1111,
         "the critical set is not the extension's", id="x_u-not-the-dropped-cell")
+    yield pytest.param(
+        P5, _replaced(p5, special_zero=0b100), P5.full_mask,
+        "the special 0-simplex is not {v}", id="special-zero-not-v")
+    # x_1 = {3} replaces the child's special {2}, and the critical set
+    # follows, so only the choice of x_1 is wrong.
+    edge_and_p3 = build_auto(EDGE_AND_P3)
+    yield pytest.param(
+        EDGE_AND_P3,
+        _critical(
+            _restep(edge_and_p3, 1, xu=0b1000), lambda crit: crit - {0b1010} | {0b0110}
+        ),
+        EDGE_AND_P3.full_mask, "x_1 is not the special 0-simplex of child 1",
+        id="x_u-not-the-special-zero")
     singletons = frozenset(1 << w for w in range(5))
     yield pytest.param(
         P5, _replaced(p5, pairs=(), recipe=None, critical_set=singletons),
