@@ -174,30 +174,6 @@ def _build(g: Graph, driver: str, spec: GridSpec | None = None) -> ConstructionR
     return build_auto(g)
 
 
-def _pad(seq, length: int) -> list[int]:
-    return list(seq) + [0] * (length - len(seq))
-
-
-def _euler_ok(fvec, betti) -> bool:
-    top = max(len(fvec), len(betti))
-    fv, bt = _pad(fvec, top), _pad(betti, top)
-    return sum((-1) ** d * fv[d] for d in range(top)) == sum(
-        (-1) ** d * bt[d] for d in range(top)
-    )
-
-
-def _morse_ok(fvec, betti) -> bool:
-    top = max(len(fvec), len(betti))
-    fv, bt = _pad(fvec, top), _pad(betti, top)
-    return all(fv[d] >= bt[d] for d in range(top))
-
-
-def _oracle_consistent(h, fvec, profile) -> bool:
-    if h.kind != "unclassified":
-        return consistency_with_homology(h, profile)
-    return _euler_ok(fvec, profile.betti) and _morse_ok(fvec, profile.betti)
-
-
 # ─────────────────────────────────────────────────────────────
 #  Subcommand handlers
 # ─────────────────────────────────────────────────────────────
@@ -242,9 +218,8 @@ def cmd_analyze(args) -> int:
         # Certified by the extension theorem on the recursion tree; verify
         # and compare check the field on the complex instead.
         h = classify_tree(g, result)
-        fvec = result.critical_f
         report["driver"] = result.driver
-        report["critical_f"] = list(fvec)
+        report["critical_f"] = list(result.critical_f)
         report["special_zero"] = (
             _verts(result.special_zero) if result.special_zero else None
         )
@@ -278,7 +253,7 @@ def cmd_analyze(args) -> int:
         profile = homology_integer(independence_complex(g))
         report["betti"] = list(profile.betti)
         report["torsion_free"] = list(profile.torsion_free)
-        ok = _oracle_consistent(h, fvec, profile)
+        ok = consistency_with_homology(h, profile)
         report["oracle_consistent"] = ok
         failed = failed or not ok
         timings["oracle_s"] = round(time.perf_counter() - t0, 6)
@@ -401,7 +376,7 @@ def cmd_compare(args) -> int:
     agree = report["counts_f"] == report["critical_f"]
     if spec is not None:
         agree = agree and report["grid_f"] == report["critical_f"]
-    agree = agree and _oracle_consistent(h, result.critical_f, profile)
+    agree = agree and consistency_with_homology(h, profile)
     report["agree"] = agree
     _emit(report, args)
     return 0 if agree else 1

@@ -1,30 +1,24 @@
 """Critical f-vectors without materializing any complex.
 
 Two routes.  The recursive one runs the explicit construction's own
-recursion, ``morse._recurse``, and assembles critical counts instead of
-pairs at each node.  It has two selection policies: on a chordal graph the
-first vertex of a perfect elimination ordering left in the subgraph, on any
-other graph the generic driver's smallest simplicial vertex.  The grid one
-evaluates closed recurrences over the corner-rectangle table c[i][j][l];
-the full grid is the rectangle (m, 0).  All arithmetic is plain Python int,
-so cell sizes may be arbitrarily large.
+recursion, ``morse._recurse``, with the construction's own node assembly,
+``morse._assemble_counts``, on counts alone: no tree is kept.  It has two
+selection policies: on a chordal graph the first vertex of a perfect
+elimination ordering left in the subgraph, on any other graph the generic
+driver's smallest simplicial vertex.  The grid one evaluates closed
+recurrences over the corner-rectangle table c[i][j][l]; the full grid is
+the rectangle (m, 0).  All arithmetic is plain Python int, so cell sizes
+may be arbitrarily large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .chordal import _peo
 from .generators import GridSpec
 from .graph_core import Graph, _graph_of_rows
-from .morse import _recurse, _select_auto
-
-
-def _trim(counts: list[int]) -> tuple[int, ...]:
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
+from .morse import _assemble_counts, _recurse, _select_auto, _trim
 
 
 def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
@@ -81,24 +75,6 @@ def _renumbered(g: Graph, order) -> Graph:
 
 def _select_lowest(g: Graph, mask: int):
     return "extend", (mask & -mask).bit_length() - 1
-
-
-def _assemble_counts(g: Graph, mask: int, v, children) -> tuple[int, ...]:
-    if v is None:
-        return (mask.bit_count(),)
-    # A universal neighbor u of v leaves G - N[u] empty, so it has no child.
-    k = (g.adj[v] & mask).bit_count() - len(children)
-    child_fs = children.values()
-    # A path has one child per node and f-vectors of length up to n/3, so a
-    # node is built by list operations in C: a shift, or column sums.
-    if len(child_fs) == 1:
-        (f,) = child_fs
-        counts = [1 + k, f[0] - 1, *f[1:]]
-    else:
-        counts = [1 + k, *map(sum, zip_longest(*child_fs, fillvalue=0))]
-        if child_fs:
-            counts[1] -= len(child_fs)
-    return _trim(counts)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ wedge of spheres with one sphere per critical simplex of positive
 dimension.  When none applies the result is honestly Unclassified rather
 than a guess.  classify_tree needs no complex: the certificate of a build
 proves that every critical cell but one 0-simplex is maximal, so the first
-condition holds and the type follows from the critical counts.
+condition holds and the type follows from the certified critical counts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .complexes import SimplicialComplex, is_maximal
 from .graph_core import Graph, domination_number
 from .homology import HomologyProfile
 from .matching import _pair_maps, _vpath_reachable, check_field
-from .morse import ConstructionResult, certify_tree
+from .morse import ConstructionResult, _trim, certify_tree
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class HomotopyType:
 
 
 def _wedge(counts: list[int]) -> HomotopyType:
-    trimmed = list(counts)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    return HomotopyType("wedge", tuple(trimmed))
+    return HomotopyType("wedge", _trim(counts))
 
 
 def homotopy_from_counts(fvec: tuple[int, ...]) -> HomotopyType:
@@ -107,8 +104,8 @@ def classify_tree(g: Graph, result: ConstructionResult) -> HomotopyType:
     """The type of a build of g, certified on its recursion tree by the
     extension theorem (morse.certify_tree) instead of verified on I(g).  The
     certificate proves every critical cell but the special 0-simplex
-    maximal, so the type follows from the critical counts alone."""
-    return homotopy_from_counts(certify_tree(g, result).critical_f)
+    maximal, so the type follows from the certified critical counts alone."""
+    return homotopy_from_counts(certify_tree(g, result))
 
 
 def check_domination_bound(g: Graph, h: HomotopyType) -> bool:

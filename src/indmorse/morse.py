@@ -17,21 +17,23 @@ drivers run this step to exhaustion: one for chordal graphs (v = head of a
 perfect elimination ordering), one for labeled grid-family graphs (v taken
 from the corner cell), and a generic one (v = smallest simplicial vertex).
 
-A node of the recursion tree assembles only its critical data and stores
-its recipe: v, its mask and, per child, (u, child node, x_u).  Its pairs
-are derived from the recipe on first read and then kept, so a build whose
-caller reads only the critical data enumerates no case-(iii) set.  The
-tree is also the certificate: certify_tree walks the recipes from the root
-and checks the extension theorem's hypotheses at each node, which also
-prove every critical cell but the root's {v} maximal.  A ``trace``
-dict, when a caller passes one, records every node for counting and tests;
-no code here reads it.
+A node of the recursion tree stores its critical counts, assembled from its
+children's by the same rule the count route uses (``_assemble_counts``), and
+its recipe: v, its mask and, per child, (u, child node, x_u).  Its critical
+set and its pairs are derived from the recipe on first read and then kept,
+so a build whose caller reads only the counts enumerates no cell.  The tree
+is also the certificate: certify_tree walks the recipes from the root and
+checks the extension theorem's hypotheses at each node, which also prove
+every critical cell but the root's {v} maximal.  A ``trace`` dict, when a
+caller passes one, records every node for counting and tests; no code here
+reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import zip_longest
 from typing import Mapping
 
 from .chordal import _mcs_masked, is_chordal
@@ -44,25 +46,32 @@ from .graph_core import (
     UnsupportedGraphError,
     bits,
 )
-from .matching import FieldCertificate, check_field, critical_fvector_of
+from .matching import check_field
 
 Pair = tuple[int, int]
 
 
-class _Pairs:
-    """The ``pairs`` field of a ConstructionResult: kept as given, or, when
-    given as None, derived from the node's recipe on first read and kept."""
+class _Derived:
+    """A field of a ConstructionResult that an extension node may leave to
+    its recipe: kept as given, or, when given as None, derived by
+    ``derive(recipe)`` on first read and then kept."""
+
+    def __init__(self, derive, convert):
+        self.derive, self.convert = derive, convert
+
+    def __set_name__(self, owner, name):
+        self.name, self.slot = name, "_" + name
 
     def __get__(self, node, owner=None):
         if node is None:
-            raise AttributeError("pairs")  # the field has no default
-        pairs = node.__dict__["_pairs"]
-        if pairs is None:
-            pairs = node.__dict__["_pairs"] = _node_pairs(*node.recipe)
-        return pairs
+            raise AttributeError(self.name)  # the field has no default
+        value = node.__dict__[self.slot]
+        if value is None:
+            value = node.__dict__[self.slot] = self.derive(node.recipe)
+        return value
 
-    def __set__(self, node, pairs):
-        node.__dict__["_pairs"] = None if pairs is None else tuple(pairs)
+    def __set__(self, node, value):
+        node.__dict__[self.slot] = None if value is None else self.convert(value)
 
 
 @dataclass(frozen=True)
@@ -73,21 +82,27 @@ class ConstructionResult:
     ``special_zero`` is the one critical 0-simplex that may fail to be
     maximal (the {v} of the outermost extension step); None when every
     critical simplex is maximal by construction.  certify_tree proves this
-    promise from the recipes.  An extension node keeps
-    its ``recipe`` (adj, mask, v, ((u, child, x_u), ...)) and is built
-    with pairs None; its pairs are derived from the recipe on first read.
+    promise from the recipes.  An extension node stores ``critical_f`` and
+    its ``recipe`` (adj, mask, v, ((u, child, x_u), ...)) and is built with
+    pairs and critical_set None; each is derived from the recipe on first
+    read.  A node with no recipe holds both.
     """
 
-    pairs: tuple[Pair, ...] | None = _Pairs()
-    critical_set: frozenset[int]
+    # The derivations are looked up when called, so they may follow here.
+    pairs: tuple[Pair, ...] | None = _Derived(lambda r: _node_pairs(*r), tuple)
+    critical_set: frozenset[int] | None = _Derived(
+        lambda r: _node_critical(*r), frozenset
+    )
     critical_f: tuple[int, ...]
     special_zero: int | None
     driver: str
     recipe: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.__dict__["_pairs"] is None and self.recipe is None:
-            raise ValueError("a result needs its pairs or a recipe")
+        if self.recipe is None and None in (
+            self.__dict__["_pairs"], self.__dict__["_critical_set"]
+        ):
+            raise ValueError("a result needs its pairs and critical set, or a recipe")
 
 
 def _check_cap(g: Graph) -> None:
@@ -97,20 +112,38 @@ def _check_cap(g: Graph) -> None:
         )
 
 
-def _result(pairs, critical, special_zero, driver, recipe=None) -> ConstructionResult:
-    return ConstructionResult(
-        pairs=pairs,
-        critical_set=frozenset(critical),
-        critical_f=critical_fvector_of(critical),
-        special_zero=special_zero,
-        driver=driver,
-        recipe=recipe,
-    )
+def _trim(counts: list[int]) -> tuple[int, ...]:
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)
+
+
+def _assemble_counts(g: Graph, mask: int, v, children) -> tuple[int, ...]:
+    """The critical counts of the node at v (None for a complete subgraph)
+    from its children's, {u: critical_f of G[mask] - N[u]}: {v} and each {u}
+    with no child are 0-simplices, each child's d-cells lift to (d+1)-cells,
+    and one lifted 0-simplex per child, x_u + u, is paired."""
+    if v is None:
+        return _trim([mask.bit_count()])
+    # A universal neighbor u of v leaves G - N[u] empty, so it has no child.
+    k = (g.adj[v] & mask).bit_count() - len(children)
+    child_fs = children.values()
+    # A path has one child per node and f-vectors of length up to n/3, so a
+    # node is built by list operations in C: a shift, or column sums.
+    if len(child_fs) == 1:
+        (f,) = child_fs
+        counts = [1 + k, f[0] - 1, *f[1:]]
+    else:
+        counts = [1 + k, *map(sum, zip_longest(*child_fs, fillvalue=0))]
+        if child_fs:
+            counts[1] -= len(child_fs)
+    return _trim(counts)
 
 
 def _choose_xu(child: ConstructionResult) -> int:
     """The 0-simplex paired against {u}: the child's special 0-simplex, or,
-    when it has none, its smallest-id critical 0-simplex."""
+    when it has none (a complete subgraph, or a sub-matching given to
+    extend_matching), its smallest-id critical 0-simplex."""
     if child.special_zero is not None:
         return child.special_zero
     zeros = [s for s in child.critical_set if s.bit_count() == 1]
@@ -128,26 +161,33 @@ def _scoped_node(
 ) -> ConstructionResult:
     """The matching on I(G[mask]): the extension step at v with the given
     children, or, for v None (a complete subgraph), the empty matching.
-    Only the critical data is assembled; the pairs wait in the recipe."""
+    Only the critical counts are assembled; the critical set and the pairs
+    wait in the recipe."""
+    counts = _assemble_counts(
+        g, mask, v, {u: child.critical_f for u, child in children.items()}
+    )
     if v is None:
-        return _result([], [1 << u for u in bits(mask)], None, driver)
-    bit_v = 1 << v
-    critical: list[int] = [bit_v]
-    steps = []
-    for u in bits(g.adj[v] & mask):
-        bit_u = 1 << u
-        mask_u = mask & ~(g.adj[u] | bit_u)
-        if mask_u == 0:
-            # u is universal inside this subgraph; {u} stays critical.
-            critical.append(bit_u)
+        return ConstructionResult(
+            (), frozenset(1 << u for u in bits(mask)), counts, None, driver
+        )
+    steps = tuple((u, child, _choose_xu(child)) for u, child in children.items())
+    recipe = (g.adj, mask, v, steps)
+    return ConstructionResult(None, None, counts, 1 << v, driver, recipe)
+
+
+def _node_critical(adj, mask: int, v: int, steps) -> frozenset[int]:
+    """The critical cells of an extension node's recipe: {v}, each {u} for
+    u in N(v) with no step, and the lifts c + u of child u's critical cells
+    but x_u."""
+    stepped = {u: (child, xu) for u, child, xu in steps}
+    critical = [1 << v]
+    for u in bits(adj[v] & mask):
+        if u not in stepped:
+            critical.append(1 << u)
             continue
-        child = children[u]
-        xu = _choose_xu(child)
-        steps.append((u, child, xu))
-        for c in child.critical_set:
-            if c != xu:
-                critical.append(c | bit_u)
-    return _result(None, critical, bit_v, driver, (g.adj, mask, v, tuple(steps)))
+        child, xu = stepped[u]
+        critical += [c | 1 << u for c in child.critical_set if c != xu]
+    return frozenset(critical)
 
 
 def _node_pairs(adj, mask: int, v: int, steps) -> tuple[Pair, ...]:
@@ -314,21 +354,24 @@ def _recurse(g: Graph, select, assemble, trace=None):
     return memo[g.full_mask]
 
 
-def _node_fault(adj, mask: int, node: ConstructionResult) -> str | None:
+def _node_fault(g: Graph, mask: int, node: ConstructionResult) -> str | None:
     """The extension theorem's first local hypothesis that fails at one node
     of a tree, reached at ``mask``, or None.  A node with no recipe is a
-    clique whose singletons are critical.  A recipe (adj, mask, v, steps) is
-    this node's; v is in the mask and simplicial there; the special
-    0-simplex is {v}; the steps are the u in N(v) & mask with mask - N[u]
-    nonempty, in order; each x_u is a critical 0-simplex of its child, and
-    the child's special 0-simplex when it has one; and the critical set is
-    {v}, the {u} with no child, and the lifts c + u of child u's critical
-    cells but x_u + u."""
-    crit = node.critical_set
+    clique with one critical 0-simplex per vertex.  A recipe (adj, mask, v,
+    steps) is this node's; v is in the mask and simplicial there; the
+    special 0-simplex is {v}; the steps are the u in N(v) & mask with
+    mask - N[u] nonempty, in order; each x_u is a 0-simplex of its child's
+    mask, and the child's special 0-simplex when it has one; critical_f is
+    the assembly of the children's; and a critical set given with the node
+    is the one the recipe derives."""
+    adj = g.adj
+    given = node.__dict__["_critical_set"]
     if node.recipe is None:
         if any(mask & ~(adj[w] | 1 << w) for w in bits(mask)):
             return "the mask is not a clique"
-        if crit != {1 << w for w in bits(mask)}:
+        if node.critical_f != _assemble_counts(g, mask, None, {}):
+            return "a clique's critical counts are not its size"
+        if given != {1 << w for w in bits(mask)}:
             return "a clique's critical cells are not its singletons"
         return None
     node_adj, node_mask, v, steps = node.recipe
@@ -341,37 +384,34 @@ def _node_fault(adj, mask: int, node: ConstructionResult) -> str | None:
         return "v is not simplicial"
     if node.special_zero != 1 << v:
         return "the special 0-simplex is not {v}"
-    expected = {1 << v}
-    stepped = []
-    for u in bits(nv):
-        if mask & ~(adj[u] | 1 << u):
-            stepped.append(u)
-        else:
-            expected.add(1 << u)
-    if [u for u, _, _ in steps] != stepped:
+    if [u for u, _, _ in steps] != [u for u in bits(nv) if mask & ~(adj[u] | 1 << u)]:
         return "the steps are not the u in N(v) with mask - N[u] nonempty"
     for u, child, xu in steps:
-        if xu.bit_count() != 1 or xu not in child.critical_set:
+        # A clique child's 0-simplices are all critical; any other child is
+        # an extension node, whose special 0-simplex {v} is critical.
+        if xu.bit_count() != 1 or not xu & mask & ~(adj[u] | 1 << u):
             return f"x_{u} is not a critical 0-simplex of child {u}"
         if child.special_zero not in (None, xu):
             return f"x_{u} is not the special 0-simplex of child {u}"
-        expected.update(c | 1 << u for c in child.critical_set if c != xu)
-    if crit != expected:
+    child_fs = {u: child.critical_f for u, child, _ in steps}
+    if node.critical_f != _assemble_counts(g, mask, v, child_fs):
+        return "the critical counts are not the extension's"
+    if given is not None and given != _node_critical(*node.recipe):
         return "the critical set is not the extension's"
     return None
 
 
-def certify_tree(g: Graph, result: ConstructionResult) -> FieldCertificate:
-    """Certify a build by the extension theorem: walking the recipes from
-    the root, its local hypotheses hold at every (mask, node) of the tree
-    (O(nodes * n) bit operations), so the root's matching is acyclic with the
-    returned critical set, and every critical cell but its special 0-simplex
-    is maximal: a lift c + u is iff c is in mask - N[u], a {u} with no child
-    is, and x_u takes the child's one cell that may not be, its {v}.  Pairs
-    derived from the recipes are then the theorem's; pairs given explicitly
-    are left to check_field.  Raises ValueError naming the first node that
-    fails and the hypothesis, or if the root's critical_f is not its
-    critical set's."""
+def certify_tree(g: Graph, result: ConstructionResult) -> tuple[int, ...]:
+    """Certify a build by the extension theorem and return its critical
+    f-vector: walking the recipes from the root, its local hypotheses hold
+    at every (mask, node) of the tree (O(nodes * n) bit operations), so the
+    root's matching is acyclic with the critical set its recipe derives,
+    whose counts are the root's critical_f, and every critical cell but its
+    special 0-simplex is maximal: a lift c + u is iff c is in mask - N[u], a
+    {u} with no child is, and x_u takes the child's one cell that may not
+    be, its {v}.  Pairs and critical sets derived from the recipes are then
+    the theorem's; pairs given explicitly are left to check_field.  Raises
+    ValueError naming the first node that fails and the hypothesis."""
     seen: set[tuple[int, int]] = set()
     stack = [(g.full_mask, result)]
     while stack:
@@ -379,7 +419,7 @@ def certify_tree(g: Graph, result: ConstructionResult) -> FieldCertificate:
         if (mask, id(node)) in seen:
             continue
         seen.add((mask, id(node)))
-        fault = _node_fault(g.adj, mask, node)
+        fault = _node_fault(g, mask, node)
         if fault is not None:
             where = sorted(bits(mask))
             raise ValueError(f"extension hypothesis fails at node {where}: {fault}")
@@ -387,11 +427,7 @@ def certify_tree(g: Graph, result: ConstructionResult) -> FieldCertificate:
             stack.extend(
                 (mask & ~(g.adj[u] | 1 << u), child) for u, child, _ in node.recipe[3]
             )
-    crit = result.critical_set
-    fvec = critical_fvector_of(crit)
-    if fvec != result.critical_f:
-        raise ValueError("result does not describe its own matching")
-    return FieldCertificate(critical=crit, critical_f=fvec)
+    return result.critical_f
 
 
 def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionResult:
@@ -400,7 +436,7 @@ def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionR
     if not is_chordal(g):
         raise ValueError("graph is not chordal")
     if g.n == 0:
-        return _result([], [], None, "chordal")
+        return _scoped_node(g, 0, None, {}, "chordal")
     return _recurse(g, _select_chordal, partial(_scoped_node, driver="chordal"), trace)
 
 
@@ -408,7 +444,7 @@ def build_auto(g: Graph, trace: dict | None = None) -> ConstructionResult:
     """Generic driver: recurse on the smallest simplicial vertex at each stage."""
     _check_cap(g)
     if g.n == 0:
-        return _result([], [], None, "auto")
+        return _scoped_node(g, 0, None, {}, "auto")
     return _recurse(g, _select_auto, partial(_scoped_node, driver="auto"), trace)
 
 

@@ -119,3 +119,30 @@ def test_only_matching_names_the_certificate_slot():
         and "_field_certificate" in path.read_text(encoding="utf-8")
     }
     assert naming == {"matching.py"}
+
+
+def _called_names(tree: ast.AST):
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_the_count_rule_lives_once_in_morse():
+    # A node's critical counts follow from its children's by one rule,
+    # morse._assemble_counts, which the builds, the certificate and the count
+    # route share; only check_field histograms a critical set.
+    from indmorse import counts, morse
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "matching.py":
+            assert "critical_fvector_of" not in set(_called_names(tree)), path.name
+        if path.name != "morse.py":
+            defined = {
+                node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            assert not defined & {"_assemble_counts", "_trim"}, path.name
+            assert not [name for name in defined if "assemble" in name], path.name
+    assert counts._assemble_counts is morse._assemble_counts

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from indmorse import (
     independence_complex,
     is_maximal,
     extend_matching,
+    graph_to_json,
     morse,
     power_graph_cyclic,
     random_chordal,
@@ -31,6 +33,7 @@ from indmorse import (
     verify_acyclic,
     verify_matching,
 )
+from indmorse.cli import main
 from indmorse.morse import _grid_selector, _select_auto
 
 from oracles import grid_rectangle_trace, universal_vertices
@@ -493,9 +496,11 @@ def _child(node, u):
 
 
 def _replaced(node, **changes):
-    """``node`` with fields changed; a recipe's pairs are left underived."""
+    """``node`` with fields changed; a recipe's pairs and critical set are
+    left underived unless given."""
     if node.recipe is not None:
         changes.setdefault("pairs", None)
+        changes.setdefault("critical_set", None)
     return dataclasses.replace(node, **changes)
 
 
@@ -516,23 +521,21 @@ def _restep(node, u, **step):
 
 
 def _critical(node, change):
-    """``node`` with its critical set changed by ``change(critical_set)``."""
+    """``node`` holding a critical set given as ``change(critical_set)``."""
     return _replaced(node, critical_set=frozenset(change(node.critical_set)))
 
 
 def test_certificate_accepts_the_builds():
     for g in (P5, EDGE_AND_P5, GRID11, standard_graph("complete", 3)):
         res = build_auto(g)
-        cert = certify_tree(g, res)
-        assert cert.ok and cert.critical == res.critical_set
-        assert cert.critical_f == res.critical_f
+        assert certify_tree(g, res) == res.critical_f
     empty = standard_graph("empty", 0)
-    assert certify_tree(empty, build_auto(empty)).critical == frozenset()
+    assert certify_tree(empty, build_auto(empty)) == ()
 
 
 def test_certificate_checks_the_root_critical_f():
     res = build_auto(P5)
-    with pytest.raises(ValueError, match="result does not describe its own matching"):
+    with pytest.raises(ValueError, match="the critical counts are not the extension's"):
         certify_tree(P5, _replaced(res, critical_f=(2, 1)))
 
 
@@ -540,9 +543,9 @@ def test_certificate_checks_each_node_once(monkeypatch):
     checked = []
     node_fault = morse._node_fault
 
-    def counted(adj, mask, node):
+    def counted(g, mask, node):
         checked.append(mask)
-        return node_fault(adj, mask, node)
+        return node_fault(g, mask, node)
 
     monkeypatch.setattr(morse, "_node_fault", counted)
     for g, build in itertools.islice(_builds_with_every_driver(), 0, None, 7):
@@ -564,10 +567,10 @@ def test_certificate_equals_the_field_check():
             res = build(g)
         except UnsupportedGraphError:
             continue
-        cert = certify_tree(g, res)
+        certified = certify_tree(g, res)
         field = check_field(independence_complex(g), res.pairs)
-        assert field.ok and cert.critical == field.critical
-        assert cert.critical_f == field.critical_f
+        assert field.ok and certified == field.critical_f
+        assert res.critical_set == field.critical
         built += 1
     assert built > 150
 
@@ -612,13 +615,19 @@ def _tampered_trees():
     yield pytest.param(
         EDGE_AND_P5, _restep(edge_and_p5, 1, xu=edge), EDGE_AND_P5.full_mask,
         "x_1 is not a critical 0-simplex of child 1", id="x_u-not-a-0-simplex")
+    # The child under u = 1 is the clique {2, 3}; {0} is no cell of it.
+    yield pytest.param(
+        TWO_EDGES, _restep(build_auto(TWO_EDGES), 1, xu=0b0001), 0b1111,
+        "x_1 is not a critical 0-simplex of child 1", id="x_u-outside-the-child")
     yield pytest.param(
         P5, _critical(p5, lambda crit: crit | {0b101}), P5.full_mask,
         "the critical set is not the extension's", id="extra-critical-cell")
-    # x_1 = {2} is dropped from the critical set; the recipe names {3}.
+    # x_1 = {2} is dropped from the given critical set; the recipe names {3}.
+    two_edges = build_auto(TWO_EDGES)
     yield pytest.param(
-        TWO_EDGES, _restep(build_auto(TWO_EDGES), 1, xu=0b1000), 0b1111,
-        "the critical set is not the extension's", id="x_u-not-the-dropped-cell")
+        TWO_EDGES,
+        _replaced(_restep(two_edges, 1, xu=0b1000), critical_set=two_edges.critical_set),
+        0b1111, "the critical set is not the extension's", id="x_u-not-the-dropped-cell")
     yield pytest.param(
         P5, _replaced(p5, special_zero=0b100), P5.full_mask,
         "the special 0-simplex is not {v}", id="special-zero-not-v")
@@ -641,6 +650,25 @@ def _tampered_trees():
         k3, _critical(build_auto(k3), lambda crit: {0b001}), k3.full_mask,
         "a clique's critical cells are not its singletons",
         id="clique-cells-not-singletons")
+    yield pytest.param(
+        k3, _replaced(build_auto(k3), critical_f=(2,)), k3.full_mask,
+        "a clique's critical counts are not its size", id="clique-counts-not-its-size")
+    # The child {3, ..., 6} of P7 has critical_f (1,); the root's (1, 0, 1)
+    # is the assembly of (1, 1), so only the child's counts are wrong.
+    yield pytest.param(
+        P7,
+        _replaced(
+            _restep(p7, 1, child=_replaced(p7_child, critical_f=(1, 1))),
+            critical_f=(1, 0, 1),
+        ),
+        0b1111000, "the critical counts are not the extension's",
+        id="inner-critical-f")
+    # The child {3, ..., 6} of P7 derives {3}; given {5}, it has the same
+    # counts, and the root reads only the child's counts and special {3}.
+    yield pytest.param(
+        P7, _restep(p7, 1, child=_critical(p7_child, lambda crit: {0b100000})),
+        0b1111000, "the critical set is not the extension's",
+        id="inner-critical-set-given")
 
 
 @pytest.mark.parametrize("g, tree, mask, hypothesis", list(_tampered_trees()))
@@ -652,3 +680,31 @@ def test_certificate_names_the_failing_node(g, tree, mask, hypothesis):
         f"extension hypothesis fails at node {sorted(bits(mask))}: "
     )
     assert hypothesis in message
+
+
+def test_explicit_analyze_derives_no_critical_set(capsys, tmp_path, monkeypatch):
+    derived = []
+    node_critical = morse._node_critical
+
+    def counted(*recipe):
+        derived.append(recipe[1])
+        return node_critical(*recipe)
+
+    monkeypatch.setattr(morse, "_node_critical", counted)
+    grid = grid_graph(GridSpec.of(2, 1, [[1, 2], [2, 1], [1, 2]]))
+    paths = {}
+    for name, g in (("p7", P7), ("grid", grid)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(graph_to_json(g)), encoding="utf-8")
+    # Explicit analyze reads the certified counts, never a critical set.
+    for name, driver in itertools.product(paths, ("auto", "chordal", "grid")):
+        if (name, driver) == ("p7", "grid"):
+            continue  # a path has no grid labels
+        for extra in ((), ("--gamma",)):
+            argv = ["analyze", str(paths[name]), "--driver", driver, *extra]
+            assert main(argv) == 0, argv
+    assert derived == []
+    # compare checks the derived set against the field's on the complex.
+    assert main(["compare", str(paths["p7"])]) == 0
+    assert derived
+    capsys.readouterr()
