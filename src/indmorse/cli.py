@@ -17,7 +17,12 @@ import sys
 import time
 
 from .chordal import is_chordal
-from .complexes import _independent_sets, hasse_edges, independence_complex
+from .complexes import (
+    SimplicialComplex,
+    _independent_sets,
+    hasse_edges,
+    independence_complex,
+)
 from .counts import (
     critical_fvector_recursive,
     grid_count_table,
@@ -32,6 +37,7 @@ from .generators import (
     standard_graph,
 )
 from .graph_core import (
+    EXPLICIT_VERTEX_CAP,
     CapabilityError,
     Graph,
     UnsupportedGraphError,
@@ -40,7 +46,7 @@ from .graph_core import (
     graph_from_json,
     graph_to_json,
 )
-from .homology import homology_integer
+from .homology import HOMOLOGY_SIMPLEX_CAP, homology_integer
 from .homotopy import (
     HomotopyType,
     check_domination_bound,
@@ -165,6 +171,22 @@ def _graph_summary(g: Graph) -> tuple[dict, GridSpec | None]:
 #  Shared pipeline pieces
 # ─────────────────────────────────────────────────────────────
 
+def _faces_over(g: Graph, limit: int) -> bool:
+    """Whether I(g) has more than limit faces, the empty one included,
+    counted only up to the limit: there are up to 2^n of them."""
+    return len(_independent_sets(g.adj, g.full_mask, limit)) > limit
+
+
+def _homology_complex(g: Graph) -> SimplicialComplex:
+    """I(g) for homology_integer, refused before it is built when the oracle
+    would refuse it; the vertex cap keeps its own error."""
+    if g.n <= EXPLICIT_VERTEX_CAP and _faces_over(g, HOMOLOGY_SIMPLEX_CAP + 1):
+        raise CapabilityError(
+            f"integer homology is limited to {HOMOLOGY_SIMPLEX_CAP} simplices"
+        )
+    return independence_complex(g)
+
+
 def _build(g: Graph, driver: str, spec: GridSpec | None = None) -> ConstructionResult:
     if driver == "chordal":
         return build_chordal_matching(g)
@@ -250,7 +272,7 @@ def cmd_analyze(args) -> int:
 
     if args.oracle:
         t0 = time.perf_counter()
-        profile = homology_integer(independence_complex(g))
+        profile = homology_integer(_homology_complex(g))
         report["betti"] = list(profile.betti)
         report["torsion_free"] = list(profile.torsion_free)
         ok = consistency_with_homology(h, profile)
@@ -293,8 +315,7 @@ def cmd_match(args) -> int:
 
 
 def _write_dot(g: Graph, result: ConstructionResult, path: str) -> None:
-    # Count the faces only up to the cap: there are up to 2^n of them.
-    if len(_independent_sets(g.adj, g.full_mask, DOT_SIMPLEX_CAP)) > DOT_SIMPLEX_CAP:
+    if _faces_over(g, DOT_SIMPLEX_CAP):
         raise CapabilityError(
             f"DOT dump is limited to {DOT_SIMPLEX_CAP} simplices"
         )
@@ -346,7 +367,7 @@ def cmd_verify(args) -> int:
 
 def cmd_homology(args) -> int:
     g = _load_graph(args.graph)
-    profile = homology_integer(independence_complex(g))
+    profile = homology_integer(_homology_complex(g))
     _emit(
         {"betti": list(profile.betti), "torsion_free": list(profile.torsion_free)},
         args,
@@ -366,7 +387,7 @@ def cmd_compare(args) -> int:
     report["critical_f"] = list(result.critical_f)
     report["counts_f"] = list(critical_fvector_recursive(g))
 
-    x = independence_complex(g)
+    x = _homology_complex(g)
     h = classify(x, result)
     report["homotopy"] = _homotopy_json(h)
     profile = homology_integer(x)

@@ -60,6 +60,33 @@ class SimplicialComplex:
         by_size = self._by_size
         return by_size[d + 1] if 0 <= d + 1 < len(by_size) else ()
 
+    @cached_property
+    def _facet_sets(self) -> dict[int, frozenset[int]]:
+        """facets_of's sets, keyed by k; only the queried sizes are built."""
+        return {}
+
+    def facets_of(self, k: int) -> frozenset[int]:
+        """The faces with k - 1 vertices that lie in some k-vertex face, which
+        are exactly the non-maximal ones of their size.  Read off the k-vertex
+        bucket on the first query of k, then kept on the complex."""
+        sets = self._facet_sets
+        if k not in sets:
+            sets[k] = _facets_of(self.simplices_of_dim(k - 1))
+        return sets[k]
+
+
+def _facets_of(simplices) -> frozenset[int]:
+    """Every simplex of ``simplices`` less one of its vertices."""
+    out: set[int] = set()
+    add = out.add
+    for s in simplices:
+        rest = s
+        while rest:
+            low = rest & -rest
+            add(s ^ low)
+            rest ^= low
+    return frozenset(out)
+
 
 def _independent_sets(
     adj: tuple[int, ...], mask: int, limit: int | None = None
@@ -104,11 +131,7 @@ def is_maximal(x: SimplicialComplex, sigma: int) -> bool:
     if sigma not in x.faces:
         raise ValueError("simplex does not belong to the complex")
     # Downward closure means any strict superset yields a one-vertex extension.
-    for w in range(x.n):
-        bit = 1 << w
-        if not sigma & bit and (sigma | bit) in x.faces:
-            return False
-    return True
+    return sigma not in x.facets_of(sigma.bit_count() + 1)
 
 
 def hasse_edges(x: SimplicialComplex) -> list[tuple[int, int]]:

@@ -85,7 +85,9 @@ class ConstructionResult:
     promise from the recipes.  An extension node stores ``critical_f`` and
     its ``recipe`` (adj, mask, v, ((u, child, x_u), ...)) and is built with
     pairs and critical_set None; each is derived from the recipe on first
-    read.  A node with no recipe holds both.
+    read.  A node with no recipe holds both.  repr shows the stored fields
+    and whether each of the two is held, and derives neither; equality and
+    the hash compare both, so they derive them.
     """
 
     # The derivations are looked up when called, so they may follow here.
@@ -103,6 +105,17 @@ class ConstructionResult:
             self.__dict__["_pairs"], self.__dict__["_critical_set"]
         ):
             raise ValueError("a result needs its pairs and critical set, or a recipe")
+
+    def __repr__(self) -> str:
+        held = {
+            name: "held" if self.__dict__["_" + name] is not None else "not derived"
+            for name in ("pairs", "critical_set")
+        }
+        return (
+            f"ConstructionResult(critical_f={self.critical_f!r}, "
+            f"special_zero={self.special_zero!r}, driver={self.driver!r}, "
+            f"pairs={held['pairs']}, critical_set={held['critical_set']})"
+        )
 
 
 def _check_cap(g: Graph) -> None:

@@ -423,6 +423,18 @@ def acyclic_by_reachability(x: SimplicialComplex, pairs) -> bool:
     return True
 
 
+def is_maximal_scan(x: SimplicialComplex, sigma: int) -> bool:
+    """Maximality by trying every vertex: sigma is maximal iff no sigma + w
+    is a face (downward closure makes any larger coface yield one)."""
+    if sigma not in x.faces:
+        raise ValueError("simplex does not belong to the complex")
+    for w in range(x.n):
+        bit = 1 << w
+        if not sigma & bit and (sigma | bit) in x.faces:
+            return False
+    return True
+
+
 def closure_complex(n: int, facets) -> SimplicialComplex:
     """Downward closure of the given facet masks, as a complex on n vertices."""
     faces = {0}

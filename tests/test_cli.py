@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indmorse import (
+    CapabilityError,
     chordal,
     cli,
     complexes,
@@ -26,6 +27,7 @@ from indmorse import (
     generators,
     graph_to_json,
     grid_graph,
+    homology,
     homotopy,
     matching,
     morse,
@@ -344,6 +346,63 @@ def test_homology_cycle5(capsys, tmp_path):
     code, data, _ = run_json(capsys, "homology", g)
     assert code == 0
     assert data == {"betti": [1, 1], "torsion_free": [True, True]}
+
+
+HOMOLOGY_CAP_ERROR = "error: integer homology is limited to 50000 simplices\n"
+
+
+def test_homology_cap_is_checked_before_the_complex(capsys, tmp_path, monkeypatch):
+    # I(path-25) has 196,417 simplices; the count stops past 50,001 faces.
+    p25 = write_graph(tmp_path, "p25.json", 25, [[i, i + 1] for i in range(24)])
+    c25 = write_graph(tmp_path, "c25.json", 25, [[i, (i + 1) % 25] for i in range(25)])
+    # The check follows the vertex cap, whose error stands.
+    p33 = write_graph(tmp_path, "p33.json", 33, [[i, i + 1] for i in range(32)])
+    assert run(capsys, "homology", p33) == (
+        2, "", "error: explicit complexes are limited to 32 vertices\n"
+    )
+
+    def refuse(g):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(cli, "independence_complex", refuse)
+    for argv in (("homology", p25), ("analyze", p25, "--oracle"), ("compare", p25)):
+        assert run(capsys, *argv) == (2, "", HOMOLOGY_CAP_ERROR), argv
+    # The check follows the build, whose verdict on a cycle stands.
+    for argv in (("compare", c25), ("analyze", c25, "--oracle")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: no simplicial vertex"), argv
+
+
+def test_homology_cap_refuses_a_billion_faces_in_a_few_megabytes(capsys, tmp_path):
+    e30 = write_graph(tmp_path, "e30.json", 30, [])
+    tracemalloc.start()
+    try:
+        result = run(capsys, "homology", e30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", HOMOLOGY_CAP_ERROR)
+    assert peak < 8 * 2**20, peak
+
+
+def test_homology_cap_check_agrees_with_the_oracle(capsys, tmp_path, monkeypatch):
+    # I(empty-4) has 15 nonempty simplices: a cap of 15 admits it, 14 does not.
+    e4 = write_graph(tmp_path, "e4.json", 4, [])
+    for cap, want in ((15, 0), (14, 2)):
+        monkeypatch.setattr(cli, "HOMOLOGY_SIMPLEX_CAP", cap)
+        monkeypatch.setattr(homology, "HOMOLOGY_SIMPLEX_CAP", cap)
+        code, out, err = run(capsys, "homology", e4)
+        assert code == want
+        if want:
+            assert out == ""
+            assert err == f"error: integer homology is limited to {cap} simplices\n"
+        else:
+            assert json.loads(out)["betti"] == [1, 0, 0, 0]
+    # The oracle itself refuses at the same count.
+    x = complexes.independence_complex(standard_graph("empty", 4))
+    with pytest.raises(CapabilityError):
+        homology.homology_integer(x)
 
 
 def test_compare_chordal(capsys, p5):

@@ -1,4 +1,7 @@
-"""Independence complexes, f-vectors, Hasse edges, and the four-block partition."""
+"""Independence complexes, f-vectors, Hasse edges, maximality, and the
+four-block partition."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +18,15 @@ from indmorse import (
     is_maximal,
     standard_graph,
 )
+from indmorse import complexes
 from indmorse.complexes import _independent_sets
-from oracles import independent_set_masks, independent_sets_recursive, partition_check
+from oracles import (
+    closure_complex,
+    independent_set_masks,
+    independent_sets_recursive,
+    is_maximal_scan,
+    partition_check,
+)
 
 from test_generators import small_specs
 from test_graph_core import all_graphs, graphs
@@ -121,6 +131,52 @@ def test_is_maximal_examples():
     assert is_maximal(independence_complex(K3), 1)
     with pytest.raises(ValueError):
         is_maximal(xp3, 0b011)
+
+
+def _check_maximality(x):
+    """is_maximal against the per-vertex scan on every face of x, and the
+    ValueError of both on every non-face; all faces are asked twice, yet each
+    size's facet set is built once and then kept on x."""
+    with mock.patch.object(
+        complexes, "_facets_of", wraps=complexes._facets_of
+    ) as builds:
+        for _ in range(2):
+            for s in x.faces:
+                assert is_maximal(x, s) == is_maximal_scan(x, s), bin(s)
+    sizes = {s.bit_count() + 1 for s in x.faces}
+    assert builds.call_count == len(sizes)
+    assert set(x._facet_sets) == sizes
+    for s in range(1 << x.n):
+        if s not in x.faces:
+            for check in (is_maximal, is_maximal_scan):
+                with pytest.raises(ValueError, match="does not belong"):
+                    check(x, s)
+
+
+@given(
+    st.integers(min_value=0, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6)
+        )
+    )
+)
+def test_maximality_equals_the_scan_on_closure_complexes(case):
+    # Not flag complexes in general: the boundary of a triangle, for one.
+    n, tops = case
+    _check_maximality(closure_complex(n, tops))
+
+
+@given(graphs(9))
+def test_maximality_equals_the_scan_on_independence_complexes(g):
+    _check_maximality(independence_complex(g))
+
+
+def test_maximality_of_the_empty_simplex():
+    only_empty = SimplicialComplex(3, frozenset({0}))
+    _check_maximality(only_empty)
+    assert is_maximal(only_empty, 0) and is_maximal_scan(only_empty, 0)
+    assert not is_maximal(independence_complex(K3), 0)
+    _check_maximality(closure_complex(3, [0b011, 0b101, 0b110]))
 
 
 def test_universal_vertex_iff_maximal_singleton():

@@ -277,6 +277,30 @@ def _certified_and_verified(g, build, *args):
     return classify_tree(g, res), classify(x, res)
 
 
+def test_classify_builds_one_facet_set_on_a_cone():
+    # One critical 0-simplex: classify asks about its edges only, so only the
+    # facets of the 2-vertex faces are read off the complex.
+    g = random_chordal(18, 0.35, 3)
+    x = independence_complex(g)
+    res = build_auto(g)
+    assert len(x.faces) == 38_880 and len(res.critical_set) == 1
+    assert classify(x, res) == HomotopyType("collapsible")
+    assert set(x._facet_sets) == {2}
+
+
+def test_gate_style_maximality_builds_each_queried_size_once():
+    spec = GridSpec.of(2, 2, [[2, 1, 2], [1, 2, 1], [2, 1, 2]])
+    g = grid_graph(spec)
+    res = build_grid_matching(g, spec)
+    x = independence_complex(g)
+    # Criterion 3's check, then classify's, which asks every critical cell.
+    assert all(s == res.special_zero or is_maximal(x, s) for s in res.critical_set)
+    classify(x, res)
+    asked = {s.bit_count() + 1 for s in res.critical_set}
+    assert len(asked) > 1
+    assert set(x._facet_sets) == asked
+
+
 def random_non_chordal(seed: int) -> Graph:
     """A seeded G(n, p) graph on 4..11 vertices, redrawn until it is not
     chordal."""

@@ -1,5 +1,5 @@
 """Source hygiene: every private top-level function of the package is used,
-and README states the package's line count."""
+and README states the package's line count and the value of every cap."""
 
 import ast
 import re
@@ -51,6 +51,30 @@ def test_readme_states_the_src_line_count():
         for path in (root / "src" / "indmorse").glob("*.py")
     )
     assert int(stated.group(1).replace(",", "")) == lines
+
+
+def test_readme_states_every_cap():
+    # Every module-level *_CAP constant in src/ has its value in the README's
+    # caps paragraph, written with thousands separators.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (caps_text,) = [
+        para for para in readme.split("\n\n")
+        if para.startswith("Deliberate capability caps")
+    ]
+    caps = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id.endswith("_CAP"):
+                        caps[target.id] = ast.literal_eval(node.value)
+    assert len(caps) >= 5, caps
+    missing = [
+        name for name, value in sorted(caps.items())
+        if not re.search(rf"(?<!\d)(?<!\d,){value:,}(?!,?\d)", caps_text)
+    ]
+    assert not missing, f"README caps paragraph omits {missing}"
 
 
 CONSTRUCTION = {"morse", "matching", "counts", "homotopy"}

@@ -350,6 +350,25 @@ def test_pairs_are_derived_on_first_read_at_every_node(monkeypatch):
     assert built > 150
 
 
+def test_repr_reads_stored_fields_only():
+    # A failed `assert res == ...` prints both sides; printing a cone of
+    # 38,880 faces must not derive its pairs.
+    res = build_auto(random_chordal(18, 0.35, 3))
+    text = repr(res)
+    assert res.__dict__["_pairs"] is None
+    assert res.__dict__["_critical_set"] is None
+    assert text == (
+        "ConstructionResult(critical_f=(1,), special_zero=16, driver='auto', "
+        "pairs=not derived, critical_set=not derived)"
+    )
+    res.pairs
+    assert "pairs=held, critical_set=not derived" in repr(res)
+    clique = build_chordal_matching(standard_graph("complete", 3))
+    assert repr(clique).endswith("pairs=held, critical_set=held)")
+    # Equality still compares the pairs and the critical set.
+    assert res == build_auto(random_chordal(18, 0.35, 3))
+
+
 def test_cross_driver_equality_when_heads_agree():
     agreements = 0
     for seed in range(60):
