@@ -64,6 +64,7 @@ from .morse import (
 )
 
 DOT_SIMPLEX_CAP = 200
+VERIFY_FACE_CAP = 500_000
 
 
 # ─────────────────────────────────────────────────────────────
@@ -342,6 +343,8 @@ def _write_dot(g: Graph, result: ConstructionResult, path: str) -> None:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
+    if g.n <= EXPLICIT_VERTEX_CAP and _faces_over(g, VERIFY_FACE_CAP):
+        raise CapabilityError(f"verify is limited to {VERIFY_FACE_CAP} faces")
     x = independence_complex(g)
     pairs = _load_pairs(args.matching, g.n)
     cert = check_field(x, pairs)

@@ -300,6 +300,25 @@ def test_verify_bad_vertex_in_pair(capsys, tmp_path):
         assert err.startswith("error: malformed pair ")
 
 
+def test_verify_cap_is_checked_before_the_complex(capsys, tmp_path):
+    # I(empty-24) has 2^24 faces; only the first 500,001 are counted.
+    e24 = write_graph(tmp_path, "e24.json", 24, [])
+    m = tmp_path / "m.json"
+    m.write_text("[]", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        result = run(capsys, "verify", e24, str(m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", "error: verify is limited to 500000 faces\n")
+    assert peak < 32 * 2**20, peak
+    e4 = write_graph(tmp_path, "e4.json", 4, [])
+    code, data, _ = run_json(capsys, "verify", e4, str(m))
+    assert code == 0
+    assert data["ok"] is True and data["critical_f"] == [4, 6, 4, 1]
+
+
 def test_match_dot_dump(capsys, tmp_path):
     g = write_graph(tmp_path, "p3.json", 3, [[0, 1], [1, 2]])
     dot = tmp_path / "hasse.dot"

@@ -1,10 +1,11 @@
-"""The integer homology oracle, its boundary columns, its coreduction pass,
-and the exhaustive matching search."""
+"""The integer homology oracle, its boundary columns, its excision and
+coreduction passes, and the exhaustive matching search."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from indmorse import (
     CapabilityError,
@@ -24,13 +25,14 @@ from indmorse import (
 from indmorse.homology import (
     _columns_of,
     _coreduce,
+    _excise,
     _rank_and_factors,
     _smith_diagonal_dense,
 )
 from oracles import betti_rational, closure_complex
 
 from test_acceptance import iter_chordal_corpus, iter_grid_specs
-from test_graph_core import all_graphs
+from test_graph_core import all_graphs, graphs
 
 # Minimal 6-vertex triangulation of the real projective plane: 10 facets,
 # every edge in exactly two of them; H_1 = Z/2.
@@ -142,14 +144,50 @@ def test_coreduction_matches_unreduced_elimination():
     for x in grids + others:
         assert homology_integer(x) == homology_unreduced(x)
     # A grid's bottom cell is adjacent to every other cell, so vertex 0 is an
-    # isolated point of its complex: pairing it with the empty simplex frees
-    # nothing, and the pass goes on only by restarting at a free vertex.
+    # isolated point of its complex, which no excision or reduction removes:
+    # the pass goes on only by restarting at a free vertex.  It restarts until
+    # no vertex is left, and it leaves 18.5% of the cells (35.1% when the
+    # vertices are excised in id order).
+    for x in others:
+        assert x.dim() < 0 or not _coreduce(_excise(x))[0][0]
     cells = survivors = 0
     for x in grids:
-        left, _ = _coreduce(x)
+        left, _ = _coreduce(_excise(x))
+        assert not left[0]
         cells += len(x.faces) - 1
         survivors += sum(map(len, left))
-    assert survivors < cells / 2
+    assert survivors < cells / 5
+
+
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=8)
+        )
+    )
+)
+def test_excision_matches_unreduced_elimination_on_closure_complexes(case):
+    # Not flag complexes in general: the hollow triangle, for one.
+    n, tops = case
+    x = closure_complex(n, tops)
+    assert homology_integer(x) == homology_unreduced(x)
+
+
+@given(graphs(10))
+def test_excision_matches_unreduced_elimination_on_independence_complexes(g):
+    x = independence_complex(g)
+    assert homology_integer(x) == homology_unreduced(x)
+
+
+def test_excision_skips_a_vertex_whose_link_is_gone():
+    # Excising every star regardless would cut Ind(C_4), two disjoint edges,
+    # to one point (betti (1, 0)) and the hollow triangle to a disk (1, 0).
+    c4 = independence_complex(standard_graph("cycle", 4))
+    rim = closure_complex(3, [0b011, 0b101, 0b110])
+    assert homology_integer(c4) == HomologyProfile((2, 0), (True, True))
+    assert homology_integer(rim) == HomologyProfile((1, 1), (True, True))
+    for x in (c4, rim):
+        assert homology_integer(x) == homology_unreduced(x)
 
 
 def test_torsion_survives_coreduction():
@@ -167,7 +205,7 @@ def test_torsion_survives_coreduction():
 def test_cycles_match_kozlov():
     # Ind(C_n) is a wedge of two (k-1)-spheres for n = 3k, S^(k-1) for
     # n = 3k + 1 and S^k for n = 3k + 2 (Kozlov).
-    for n in range(3, 16):
+    for n in range(3, 22):
         k, r = divmod(n, 3)
         sphere, copies = ((k - 1, 2), (k - 1, 1), (k, 1))[r]
         x = independence_complex(standard_graph("cycle", n))
@@ -176,6 +214,18 @@ def test_cycles_match_kozlov():
         assert homology_integer(x) == HomologyProfile(
             tuple(betti), (True,) * len(betti)
         )
+
+
+def test_cross_polytopes_are_spheres():
+    # Ind(k K_2), k disjoint edges, is the boundary of the k-dimensional
+    # cross-polytope: S^(k-1), with 3^k faces.
+    for k in range(1, 10):
+        edges = [(2 * i, 2 * i + 1) for i in range(k)]
+        x = independence_complex(Graph.from_edges(2 * k, edges))
+        betti = [1] + [0] * (k - 1)
+        betti[k - 1] += 1
+        assert len(x.faces) == 3**k
+        assert homology_integer(x) == HomologyProfile(tuple(betti), (True,) * k)
 
 
 def test_integer_betti_agrees_with_rational_oracle():

@@ -170,3 +170,13 @@ def test_the_count_rule_lives_once_in_morse():
             assert not defined & {"_assemble_counts", "_trim"}, path.name
             assert not [name for name in defined if "assemble" in name], path.name
     assert counts._assemble_counts is morse._assemble_counts
+
+
+def test_the_homology_oracle_reads_no_gate_cache():
+    # Complexes keep the maximality gate's facet sets and the field check's
+    # certificate; an oracle that read either would lean on those checks.
+    path = SRC / "homology.py"
+    text = path.read_text(encoding="utf-8")
+    assert "_facet_sets" not in text and "_field_certificate" not in text
+    called = set(_called_names(ast.parse(text)))
+    assert not called & {"facets_of", "_facets_of"}
