@@ -17,12 +17,7 @@ import sys
 import time
 
 from .chordal import is_chordal
-from .complexes import (
-    SimplicialComplex,
-    _independent_sets,
-    hasse_edges,
-    independence_complex,
-)
+from .complexes import SimplicialComplex, hasse_edges, independence_complex
 from .counts import (
     critical_fvector_recursive,
     grid_count_table,
@@ -37,7 +32,6 @@ from .generators import (
     standard_graph,
 )
 from .graph_core import (
-    EXPLICIT_VERTEX_CAP,
     CapabilityError,
     Graph,
     UnsupportedGraphError,
@@ -172,20 +166,23 @@ def _graph_summary(g: Graph) -> tuple[dict, GridSpec | None]:
 #  Shared pipeline pieces
 # ─────────────────────────────────────────────────────────────
 
-def _faces_over(g: Graph, limit: int) -> bool:
-    """Whether I(g) has more than limit faces, the empty one included,
-    counted only up to the limit: there are up to 2^n of them."""
-    return len(_independent_sets(g.adj, g.full_mask, limit)) > limit
+def _capped_complex(g: Graph, limit: int, error: str) -> SimplicialComplex:
+    """I(g), refused with ``error`` when it has more than ``limit`` faces,
+    the empty one included, before they are all enumerated; the vertex cap
+    keeps its own error."""
+    x = independence_complex(g, limit)
+    if x is None:
+        raise CapabilityError(error)
+    return x
 
 
 def _homology_complex(g: Graph) -> SimplicialComplex:
-    """I(g) for homology_integer, refused before it is built when the oracle
-    would refuse it; the vertex cap keeps its own error."""
-    if g.n <= EXPLICIT_VERTEX_CAP and _faces_over(g, HOMOLOGY_SIMPLEX_CAP + 1):
-        raise CapabilityError(
-            f"integer homology is limited to {HOMOLOGY_SIMPLEX_CAP} simplices"
-        )
-    return independence_complex(g)
+    """I(g) for homology_integer, refused when the oracle would refuse it."""
+    return _capped_complex(
+        g,
+        HOMOLOGY_SIMPLEX_CAP + 1,
+        f"integer homology is limited to {HOMOLOGY_SIMPLEX_CAP} simplices",
+    )
 
 
 def _build(g: Graph, driver: str, spec: GridSpec | None = None) -> ConstructionResult:
@@ -316,11 +313,9 @@ def cmd_match(args) -> int:
 
 
 def _write_dot(g: Graph, result: ConstructionResult, path: str) -> None:
-    if _faces_over(g, DOT_SIMPLEX_CAP):
-        raise CapabilityError(
-            f"DOT dump is limited to {DOT_SIMPLEX_CAP} simplices"
-        )
-    x = independence_complex(g)
+    x = _capped_complex(
+        g, DOT_SIMPLEX_CAP, f"DOT dump is limited to {DOT_SIMPLEX_CAP} simplices"
+    )
     matched = set(result.pairs)
 
     def name(mask: int) -> str:
@@ -343,9 +338,9 @@ def _write_dot(g: Graph, result: ConstructionResult, path: str) -> None:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    if g.n <= EXPLICIT_VERTEX_CAP and _faces_over(g, VERIFY_FACE_CAP):
-        raise CapabilityError(f"verify is limited to {VERIFY_FACE_CAP} faces")
-    x = independence_complex(g)
+    x = _capped_complex(
+        g, VERIFY_FACE_CAP, f"verify is limited to {VERIFY_FACE_CAP} faces"
+    )
     pairs = _load_pairs(args.matching, g.n)
     cert = check_field(x, pairs)
     if cert.error is not None:

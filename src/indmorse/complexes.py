@@ -112,13 +112,20 @@ def _independent_sets(
     return out
 
 
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """The complex of all independent sets of g, including the empty one."""
+def independence_complex(
+    g: Graph, limit: int | None = None
+) -> SimplicialComplex | None:
+    """The complex of all independent sets of g, including the empty one;
+    with a ``limit``, None when it has more than ``limit`` faces, which are
+    then enumerated only up to the limit: there are up to 2^n of them."""
     if g.n > EXPLICIT_VERTEX_CAP:
         raise CapabilityError(
             f"explicit complexes are limited to {EXPLICIT_VERTEX_CAP} vertices"
         )
-    return SimplicialComplex(g.n, frozenset(_independent_sets(g.adj, g.full_mask)))
+    faces = _independent_sets(g.adj, g.full_mask, limit)
+    if limit is not None and len(faces) > limit:
+        return None
+    return SimplicialComplex(g.n, frozenset(faces))
 
 
 def f_vector(x: SimplicialComplex) -> tuple[int, ...]:

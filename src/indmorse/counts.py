@@ -2,10 +2,9 @@
 
 Two routes.  The recursive one runs the explicit construction's own
 recursion, ``morse._recurse``, with the construction's own node assembly,
-``morse._assemble_counts``, on counts alone: no tree is kept.  It has two
-selection policies: on a chordal graph the first vertex of a perfect
-elimination ordering left in the subgraph, on any other graph the generic
-driver's smallest simplicial vertex.  The grid one evaluates closed
+``morse._assemble_counts``, on counts alone: no tree is kept.  It takes a
+driver's own selection: the chordal driver's on a chordal graph, the
+generic driver's on any other.  The grid one evaluates closed
 recurrences over the corner-rectangle table c[i][j][l]; the full grid is
 the rectangle (m, 0).  All arithmetic is plain Python int, so cell sizes
 may be arbitrarily large.
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 
 from .chordal import _peo
 from .generators import GridSpec
-from .graph_core import Graph, _graph_of_rows
-from .morse import _assemble_counts, _recurse, _select_auto, _trim
+from .graph_core import Graph
+from .morse import _assemble_counts, _peo_selector, _recurse, _select_auto, _trim
 
 
 def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
@@ -33,48 +32,21 @@ def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
       f_1 = sum_u f_0(child_u) - (deg(v) - k)
       f_t = sum_u f_{t-1}(child_u)      for t >= 2.
 
-    A chordal graph is renumbered once along a perfect elimination
-    ordering.  Its restriction to an induced subgraph is again one, so v is
-    the lowest vertex of every subgraph, found without a scan; an isolated v
-    gives (1,) and a v in a clique on c vertices gives (c,) by the formula
-    above.  Any other graph takes the generic driver's selection, shared
-    with build_auto: an isolated vertex gives (1,), a complete subgraph on c
-    vertices (c,), and otherwise v is the smallest simplicial vertex, so the
-    first subgraph without one is the one build_auto reports.  On a chordal
-    graph the construction is perfect, so every simplicial choice gives the
-    Betti numbers and both policies agree.
+    An isolated v gives (1,) and a v in a clique on c vertices (c,).  A
+    chordal graph takes build_chordal_matching's selection, the first vertex
+    of its one perfect elimination ordering left in the subgraph, found by a
+    bisection with no scan.  Any other graph takes build_auto's, the
+    smallest simplicial vertex, so the first subgraph without one is the one
+    build_auto reports.  On a chordal graph the construction is perfect, so
+    every simplicial choice gives the Betti numbers and both policies agree.
 
     It runs on the construction's own recursion, ``morse._recurse``, so its
     depth is not bounded by the interpreter's.
     """
     if g.n == 0:
         return ()
-    peo = _peo(g)
-    if peo is None:
-        return _recurse(g, _select_auto, _assemble_counts)
-    return _recurse(_renumbered(g, peo), _select_lowest, _assemble_counts)
-
-
-def _renumbered(g: Graph, order) -> Graph:
-    """g with vertex order[i] renamed i."""
-    new_bit = [0] * g.n
-    for i, v in enumerate(order):
-        new_bit[v] = 1 << i
-    adj = []
-    for v in order:
-        old, row = g.adj[v], 0
-        while old:
-            low = old & -old
-            row |= new_bit[low.bit_length() - 1]
-            old ^= low
-        adj.append(row)
-    # A bijective renumbering of a checked graph keeps its rows symmetric and
-    # in range.
-    return _graph_of_rows(g.n, tuple(adj))
-
-
-def _select_lowest(g: Graph, mask: int):
-    return "extend", (mask & -mask).bit_length() - 1
+    select = _select_auto if _peo(g) is None else _peo_selector(g)
+    return _recurse(g, select, _assemble_counts)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,23 @@
 """Recursive construction of acyclic matchings on independence complexes.
 
-The single-step extension takes a simplicial, non-universal vertex v and one
-sub-matching per non-universal neighbor u (built on I(G - N[u])), and
-assembles a matching on I(G):
+The single-step extension takes a simplicial vertex v and one sub-matching
+per neighbor u with G - N[u] nonempty (built on I(G - N[u])), and assembles
+a matching on I(G):
 
   (i)   every sub-pair (alpha, beta) with alpha nonempty lifts to
         (alpha + u, beta + u);
-  (ii)  each u with G - N[u] nonempty is paired as ({u}, {u, x_u}) for a
-        chosen critical 0-simplex {x_u} of its sub-matching;
+  (ii)  each such u is paired as ({u}, {u, x_u}) for a chosen critical
+        0-simplex {x_u} of its sub-matching;
   (iii) every alpha in I(G - N[v]) is paired with alpha + v, including
         (empty, {v}).
 
-The critical simplices are then {v}, the singletons of universal vertices,
-and every lifted sub-critical simplex except the chosen {x_u}.  Three
-drivers run this step to exhaustion: one for chordal graphs (v = head of a
-perfect elimination ordering), one for labeled grid-family graphs (v taken
-from the corner cell), and a generic one (v = smallest simplicial vertex).
+The critical simplices are then {v}, the singletons of the u with G - N[u]
+empty, and every lifted sub-critical simplex except the chosen {x_u}.  An
+isolated vertex and every vertex of a clique are simplicial, so every node
+of a recursion is one such step, and a driver is one function select(g,
+mask) -> v: the first vertex of the graph's perfect elimination ordering in
+the mask (chordal), a vertex of the corner cell (labeled grid-family
+graphs), or the smallest simplicial vertex (generic).
 
 A node of the recursion tree stores its critical counts, assembled from its
 children's by the same rule the count route uses (``_assemble_counts``), and
@@ -31,12 +33,14 @@ reads it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import or_
 from typing import Mapping
 
-from .chordal import _mcs_masked, is_chordal
+from .chordal import _peo, is_chordal
 from .complexes import SimplicialComplex, _independent_sets
 from .generators import GridSpec, grid_spec_from_labels
 from .graph_core import (
@@ -80,14 +84,15 @@ class ConstructionResult:
     of the recursion tree.
 
     ``special_zero`` is the one critical 0-simplex that may fail to be
-    maximal (the {v} of the outermost extension step); None when every
-    critical simplex is maximal by construction.  certify_tree proves this
-    promise from the recipes.  An extension node stores ``critical_f`` and
-    its ``recipe`` (adj, mask, v, ((u, child, x_u), ...)) and is built with
-    pairs and critical_set None; each is derived from the recipe on first
-    read.  A node with no recipe holds both.  repr shows the stored fields
-    and whether each of the two is held, and derives neither; equality and
-    the hash compare both, so they derive them.
+    maximal: the {v} of the outermost extension step, so None only where
+    there is no step (the 0-vertex graph, or a sub-matching given to
+    extend_matching).  certify_tree proves this promise from the recipes.
+    An extension node stores ``critical_f`` and its ``recipe`` (adj, mask,
+    v, ((u, child, x_u), ...)) and is built with pairs and critical_set
+    None; each is derived from the recipe on first read.  A result with no
+    recipe holds both.  repr shows the stored fields and whether each of the
+    two is held, and derives neither; equality and the hash compare both,
+    so they derive them.
     """
 
     # The derivations are looked up when called, so they may follow here.
@@ -131,13 +136,11 @@ def _trim(counts: list[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _assemble_counts(g: Graph, mask: int, v, children) -> tuple[int, ...]:
-    """The critical counts of the node at v (None for a complete subgraph)
-    from its children's, {u: critical_f of G[mask] - N[u]}: {v} and each {u}
-    with no child are 0-simplices, each child's d-cells lift to (d+1)-cells,
-    and one lifted 0-simplex per child, x_u + u, is paired."""
-    if v is None:
-        return _trim([mask.bit_count()])
+def _assemble_counts(g: Graph, mask: int, v: int, children) -> tuple[int, ...]:
+    """The critical counts of the node at v from its children's, {u:
+    critical_f of G[mask] - N[u]}: {v} and each {u} with no child are
+    0-simplices, each child's d-cells lift to (d+1)-cells, and one lifted
+    0-simplex per child, x_u + u, is paired."""
     # A universal neighbor u of v leaves G - N[u] empty, so it has no child.
     k = (g.adj[v] & mask).bit_count() - len(children)
     child_fs = children.values()
@@ -155,8 +158,8 @@ def _assemble_counts(g: Graph, mask: int, v, children) -> tuple[int, ...]:
 
 def _choose_xu(child: ConstructionResult) -> int:
     """The 0-simplex paired against {u}: the child's special 0-simplex, or,
-    when it has none (a complete subgraph, or a sub-matching given to
-    extend_matching), its smallest-id critical 0-simplex."""
+    when it has none (a sub-matching given to extend_matching), its
+    smallest-id critical 0-simplex."""
     if child.special_zero is not None:
         return child.special_zero
     zeros = [s for s in child.critical_set if s.bit_count() == 1]
@@ -168,21 +171,16 @@ def _choose_xu(child: ConstructionResult) -> int:
 def _scoped_node(
     g: Graph,
     mask: int,
-    v: int | None,
+    v: int,
     children: Mapping[int, ConstructionResult],
     driver: str,
 ) -> ConstructionResult:
     """The matching on I(G[mask]): the extension step at v with the given
-    children, or, for v None (a complete subgraph), the empty matching.
-    Only the critical counts are assembled; the critical set and the pairs
-    wait in the recipe."""
+    children.  Only the critical counts are assembled; the critical set and
+    the pairs wait in the recipe."""
     counts = _assemble_counts(
         g, mask, v, {u: child.critical_f for u, child in children.items()}
     )
-    if v is None:
-        return ConstructionResult(
-            (), frozenset(1 << u for u in bits(mask)), counts, None, driver
-        )
     steps = tuple((u, child, _choose_xu(child)) for u, child in children.items())
     recipe = (g.adj, mask, v, steps)
     return ConstructionResult(None, None, counts, 1 << v, driver, recipe)
@@ -225,17 +223,14 @@ def extend_matching(
 ) -> ConstructionResult:
     """One extension step on the full graph, validating the sub-matchings.
 
-    ``sub`` must supply, for every non-universal u in N(v), an acyclic
-    matching on I(G - N[u]) expressed in original vertex ids, whose critical
-    data is its own and whose special 0-simplex, if any, is critical.
+    ``sub`` must supply, for every u in N(v) with G - N[u] nonempty, an
+    acyclic matching on I(G - N[u]) expressed in original vertex ids, whose
+    critical data is its own and whose special 0-simplex, if any, is
+    critical.
     """
     g._check_vertex(v)
     _check_cap(g)
     nv = g.adj[v]
-    if nv == 0:
-        raise ValueError("v must not be isolated")
-    if (nv | 1 << v) == g.full_mask:
-        raise ValueError("v must not be universal")
     for u in bits(nv):
         if nv & ~(g.adj[u] | 1 << u):
             raise ValueError("v must be simplicial")
@@ -261,34 +256,27 @@ def extend_matching(
     return _scoped_node(g, full, v, checked, "extend")
 
 
-def _select_base(g: Graph, mask: int):
-    """The isolated-vertex and complete-graph rules, or None if neither holds."""
-    for v in bits(mask):
-        if g.adj[v] & mask == 0:
-            return "isolated", v
-    for v in bits(mask):
-        if (g.adj[v] | 1 << v) & mask != mask:
-            return None
-    return "complete", None
-
-
-def _select_chordal(g: Graph, mask: int):
-    return _select_base(g, mask) or ("extend", _mcs_masked(g.adj, mask)[0])
-
-
-def _select_auto(g: Graph, mask: int):
-    base = _select_base(g, mask)
-    if base is not None:
-        return base
+def _select_auto(g: Graph, mask: int) -> int:
+    """The generic driver's selection: the smallest simplicial vertex."""
     for v in bits(mask):
         nv = g.adj[v] & mask
         if all(nv & ~(g.adj[u] | 1 << u) == 0 for u in bits(nv)):
-            return "extend", v
+            return v
     raise UnsupportedGraphError(
         "no simplicial vertex in the induced subgraph on "
         f"{sorted(bits(mask))}",
         tuple(bits(mask)),
     )
+
+
+def _peo_selector(g: Graph):
+    """The chordal driver's selection: the first vertex of g's perfect
+    elimination ordering in the mask, simplicial there because the ordering
+    restricted to an induced subgraph is one of it.  A bisection finds the
+    first prefix of the ordering that meets the mask."""
+    order = _peo(g)
+    prefixes = list(accumulate((1 << v for v in order), or_))
+    return lambda g, mask: order[bisect_left(prefixes, 1, key=mask.__and__)]
 
 
 def _grid_selector(g: Graph, spec: GridSpec):
@@ -321,10 +309,9 @@ def _grid_selector(g: Graph, spec: GridSpec):
             b += 1
         if mask != rows_upto[a] & cols_from[b]:
             raise ValueError("labels are inconsistent with the grid recursion")
-        if a == 0 or b == n:
-            return "complete", None
-        corner = rows[a] & cols[b]
-        return "extend", (corner & -corner).bit_length() - 1
+        # Row 0 and column n are cliques: any of their vertices will do.
+        corner = mask if a == 0 or b == n else rows[a] & cols[b]
+        return (corner & -corner).bit_length() - 1
 
     return select
 
@@ -332,8 +319,8 @@ def _grid_selector(g: Graph, spec: GridSpec):
 def _recurse(g: Graph, select, assemble, trace=None):
     """The memoized recursion of every route, on an explicit stack.
 
-    ``select(g, mask)`` gives a rule and a vertex v (None for a complete
-    subgraph); the children are the nonempty G - N[u] over u in N(v) & mask.
+    ``select(g, mask)`` gives the vertex v of the node's extension step; the
+    children are the nonempty G - N[u] over u in N(v) & mask.
     ``assemble(g, mask, v, {u: child node})`` builds the node.  Masks are
     selected in the pre-order of a recursive evaluation, so a rejected
     subgraph is the one it would report, and assembled and traced in its
@@ -345,47 +332,42 @@ def _recurse(g: Graph, select, assemble, trace=None):
     while stack:
         mask, picked = stack.pop()
         if picked is not None:
-            rule, v, child_masks = picked
+            v, child_masks = picked
             children = {u: memo[c] for u, c in child_masks.items()}
             node = memo[mask] = assemble(g, mask, v, children)
             if trace is not None:
+                # Every node is an extension step; trace readers count rules.
                 trace[mask] = {
-                    "rule": rule, "v": v, "children": child_masks, "result": node
+                    "rule": "extend", "v": v, "children": child_masks, "result": node
                 }
             continue
         if mask in memo:
             continue
-        rule, v = select(g, mask)
+        v = select(g, mask)
         child_masks: dict[int, int] = {}
-        if v is not None:
-            for u in bits(g.adj[v] & mask):
-                mask_u = mask & ~(g.adj[u] | 1 << u)
-                if mask_u:
-                    child_masks[u] = mask_u
-        stack.append((mask, (rule, v, child_masks)))
+        for u in bits(g.adj[v] & mask):
+            mask_u = mask & ~(g.adj[u] | 1 << u)
+            if mask_u:
+                child_masks[u] = mask_u
+        stack.append((mask, (v, child_masks)))
         stack.extend((c, None) for c in reversed(child_masks.values()) if c not in memo)
     return memo[g.full_mask]
 
 
 def _node_fault(g: Graph, mask: int, node: ConstructionResult) -> str | None:
     """The extension theorem's first local hypothesis that fails at one node
-    of a tree, reached at ``mask``, or None.  A node with no recipe is a
-    clique with one critical 0-simplex per vertex.  A recipe (adj, mask, v,
-    steps) is this node's; v is in the mask and simplicial there; the
-    special 0-simplex is {v}; the steps are the u in N(v) & mask with
-    mask - N[u] nonempty, in order; each x_u is a 0-simplex of its child's
-    mask, and the child's special 0-simplex when it has one; critical_f is
-    the assembly of the children's; and a critical set given with the node
-    is the one the recipe derives."""
+    of a tree, reached at ``mask``, or None.  Only the 0-vertex graph's node
+    has no recipe, and no critical cell.  A recipe (adj, mask, v, steps) is
+    this node's; v is in the mask and simplicial there; the special
+    0-simplex is {v}; the steps are the u in N(v) & mask with mask - N[u]
+    nonempty, in order; each x_u is a 0-simplex of its child's mask and the
+    child's special 0-simplex; critical_f is the assembly of the children's;
+    and a critical set given with the node is the one the recipe derives."""
     adj = g.adj
     given = node.__dict__["_critical_set"]
     if node.recipe is None:
-        if any(mask & ~(adj[w] | 1 << w) for w in bits(mask)):
-            return "the mask is not a clique"
-        if node.critical_f != _assemble_counts(g, mask, None, {}):
-            return "a clique's critical counts are not its size"
-        if given != {1 << w for w in bits(mask)}:
-            return "a clique's critical cells are not its singletons"
+        if mask or node.critical_f or given:
+            return "a node with no recipe is not the 0-vertex graph's"
         return None
     node_adj, node_mask, v, steps = node.recipe
     if node_mask != mask or node_adj != adj:
@@ -400,11 +382,11 @@ def _node_fault(g: Graph, mask: int, node: ConstructionResult) -> str | None:
     if [u for u, _, _ in steps] != [u for u in bits(nv) if mask & ~(adj[u] | 1 << u)]:
         return "the steps are not the u in N(v) with mask - N[u] nonempty"
     for u, child, xu in steps:
-        # A clique child's 0-simplices are all critical; any other child is
-        # an extension node, whose special 0-simplex {v} is critical.
+        # Every child is an extension node, whose special 0-simplex {v} is
+        # critical.
         if xu.bit_count() != 1 or not xu & mask & ~(adj[u] | 1 << u):
             return f"x_{u} is not a critical 0-simplex of child {u}"
-        if child.special_zero not in (None, xu):
+        if child.special_zero != xu:
             return f"x_{u} is not the special 0-simplex of child {u}"
     child_fs = {u: child.critical_f for u, child, _ in steps}
     if node.critical_f != _assemble_counts(g, mask, v, child_fs):
@@ -443,22 +425,27 @@ def certify_tree(g: Graph, result: ConstructionResult) -> tuple[int, ...]:
     return result.critical_f
 
 
+def _build(g: Graph, select, driver: str, trace) -> ConstructionResult:
+    """The recursion tree of a driver's selection; the 0-vertex graph, with
+    no vertex to select, gets the one node without a recipe."""
+    if g.n == 0:
+        return ConstructionResult((), frozenset(), (), None, driver)
+    return _recurse(g, select, partial(_scoped_node, driver=driver), trace)
+
+
 def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionResult:
-    """Recursive matching for a chordal graph; v is always a PEO head."""
+    """Recursive matching for a chordal graph; v is always the first vertex
+    of one perfect elimination ordering left in the subgraph."""
     _check_cap(g)
     if not is_chordal(g):
         raise ValueError("graph is not chordal")
-    if g.n == 0:
-        return _scoped_node(g, 0, None, {}, "chordal")
-    return _recurse(g, _select_chordal, partial(_scoped_node, driver="chordal"), trace)
+    return _build(g, _peo_selector(g), "chordal", trace)
 
 
 def build_auto(g: Graph, trace: dict | None = None) -> ConstructionResult:
     """Generic driver: recurse on the smallest simplicial vertex at each stage."""
     _check_cap(g)
-    if g.n == 0:
-        return _scoped_node(g, 0, None, {}, "auto")
-    return _recurse(g, _select_auto, partial(_scoped_node, driver="auto"), trace)
+    return _build(g, _select_auto, "auto", trace)
 
 
 def build_grid_matching(
@@ -467,12 +454,12 @@ def build_grid_matching(
     """Driver for labeled grid-family graphs.
 
     A selection policy of the shared recursion: v is the smallest vertex of
-    the corner cell (a, b) of the remaining upper-left rectangle of cells.
+    the corner cell (a, b) of the remaining upper-left rectangle of cells,
+    or of the rectangle itself when it is one row or column, a clique.
     Deleting N[u] of a neighbor in column b or in row a leaves another such
     rectangle, which is where memoization pays off.
     """
     _check_cap(g)
     if grid_spec_from_labels(g) != spec:
         raise ValueError("labels are inconsistent with the given grid spec")
-    select = _grid_selector(g, spec)
-    return _recurse(g, select, partial(_scoped_node, driver="grid"), trace)
+    return _build(g, _grid_selector(g, spec), "grid", trace)

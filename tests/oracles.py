@@ -221,11 +221,12 @@ def mcs_quadratic(adj, mask: int) -> list[int]:
 def grid_rectangle_trace(g: Graph, spec) -> dict:
     """The corner-rectangle recursion of the grid driver, from labels alone.
 
-    Rectangle (a, b) holds the cells (r, s) with r <= a and s >= b.  Unless
-    a == 0 or b == spec.n (a complete graph), v is the smallest vertex of cell
-    (a, b), and its neighbors are the other members of column b (rows <= a)
-    and of row a (columns >= b).  Deleting N[u] for u in cell (i, b) leaves
-    rectangle (i - 1, b + 1); for u in cell (a, j), j > b, it leaves
+    Rectangle (a, b) holds the cells (r, s) with r <= a and s >= b.  When
+    a == 0 or b == spec.n it is a complete graph: v is its smallest vertex,
+    and no neighbor leaves a child.  Otherwise v is the smallest vertex of
+    cell (a, b), and its neighbors are the other members of column b (rows
+    <= a) and of row a (columns >= b).  Deleting N[u] for u in cell (i, b)
+    leaves rectangle (i - 1, b + 1); for u in cell (a, j), j > b, it leaves
     (a - 1, j + 1); an out-of-range rectangle is empty and has no child.
     Returns {mask: (rule, v, {u: child mask})}; adjacency is never read.
     """
@@ -247,7 +248,7 @@ def grid_rectangle_trace(g: Graph, spec) -> dict:
         if mask in out:
             return mask
         if a == 0 or b == spec.n:
-            out[mask] = ("complete", None, {})
+            out[mask] = ("extend", min(bits(mask)), {})
             return mask
         v = min(bits(cell[a, b]))
         children = {}

@@ -380,10 +380,12 @@ def test_homology_cap_is_checked_before_the_complex(capsys, tmp_path, monkeypatc
         2, "", "error: explicit complexes are limited to 32 vertices\n"
     )
 
-    def refuse(g):
+    def refuse(*args):
         raise AssertionError("the complex was built")
 
-    monkeypatch.setattr(cli, "independence_complex", refuse)
+    # independence_complex enumerates the faces up to the cap and builds no
+    # complex past it.
+    monkeypatch.setattr(complexes, "SimplicialComplex", refuse)
     for argv in (("homology", p25), ("analyze", p25, "--oracle"), ("compare", p25)):
         assert run(capsys, *argv) == (2, "", HOMOLOGY_CAP_ERROR), argv
     # The check follows the build, whose verdict on a cycle stands.
@@ -538,6 +540,30 @@ def test_explicit_analyze_builds_no_complex_without_the_oracle(
         calls.clear()
         assert run(capsys, *argv)[0] == 0, argv
         assert calls == want, argv
+
+
+def test_each_complex_is_enumerated_once(capsys, p5, tmp_path, monkeypatch):
+    # The face cap is checked on the enumeration the complex is built from.
+    mpath = str(tmp_path / "match.json")
+    assert run(capsys, "match", p5, "--pairs", "--out", mpath)[0] == 0
+    masks = []
+    independent_sets = complexes._independent_sets
+
+    def counted(adj, mask, limit=None):
+        masks.append(mask)
+        return independent_sets(adj, mask, limit)
+
+    for module in (complexes, cli):
+        monkeypatch.setattr(module, "_independent_sets", counted, raising=False)
+    for argv in (
+        ("analyze", p5, "--oracle"),
+        ("compare", p5),
+        ("verify", p5, mpath),
+        ("match", p5, "--dot", str(tmp_path / "p5.dot")),
+    ):
+        masks.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert masks == [0b11111], argv
 
 
 def test_explicit_analyze_tests_no_cell_for_maximality(capsys, tmp_path):

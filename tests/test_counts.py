@@ -13,6 +13,7 @@ from indmorse import (
     build_auto,
     build_chordal_matching,
     build_grid_matching,
+    chordal,
     counts,
     critical_fvector_recursive,
     grid_count_table,
@@ -140,52 +141,56 @@ def test_chordal_count_policy_does_not_scan(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(morse, "_select_base", counted("base", morse._select_base))
     monkeypatch.setattr(counts, "_select_auto", counted("auto", morse._select_auto))
-    chordal = (
+    walked = []
+    bits = morse.bits
+
+    def walk(mask):
+        walked.append(mask.bit_count())
+        return bits(mask)
+
+    monkeypatch.setattr(morse, "bits", walk)
+    chordal_graphs = (
         standard_graph("path", 40),
         standard_graph("complete", 5),
         standard_graph("empty", 3),
         random_chordal(30, 0.5, 1),
         subdivided_tree(20, 2),
     )
-    for g in chordal:
+    for g in chordal_graphs:
         critical_fvector_recursive(g)
+        # The recursion walks each N(v) & mask; the selection scans nothing.
+        assert max(walked) <= max(row.bit_count() for row in g.adj)
+        walked.clear()
     assert calls == []
     # Non-chordal input keeps the generic selection and its error.
     grid = grid_graph(GridSpec.of(2, 2, [[1] * 3] * 3))
     assert not is_chordal(grid)
     critical_fvector_recursive(grid)
-    assert "auto" in calls and "base" in calls
+    assert "auto" in calls
     with pytest.raises(UnsupportedGraphError) as got:
         critical_fvector_recursive(TWO_BAD_CHILDREN)
     assert str(got.value) == "no simplicial vertex in the induced subgraph on [3, 4, 5, 6]"
     assert got.value.vertices == (3, 4, 5, 6)
 
 
-def test_renumbering_matches_a_checked_graph(monkeypatch):
-    # The renumbering of a checked graph is not checked again, and is the
-    # graph the checked constructor gives for its rows.
-    checks = []
-    post_init = Graph.__post_init__
+def test_one_search_for_a_chordal_build_and_its_count(monkeypatch):
+    # Both the chordal driver and the count route select along the graph's
+    # one kept perfect elimination ordering: no search per node.
+    searches = []
+    mcs = chordal._mcs_masked
 
-    def counted(g):
-        checks.append(g)
-        post_init(g)
+    def counted(adj, mask):
+        searches.append(mask)
+        return mcs(adj, mask)
 
-    monkeypatch.setattr(Graph, "__post_init__", counted)
-    for seed in range(30):
-        g = random_chordal(1 + seed % 12, (seed % 5) / 4, seed)
-        order = random.Random(seed).sample(range(g.n), g.n)
-        checks.clear()
-        renamed = counts._renumbered(g, order)
-        assert checks == []
-        assert renamed == Graph(g.n, renamed.adj) and len(checks) == 1
-        assert all(
-            renamed.adj[i] >> j & 1 == g.adj[v] >> w & 1
-            for i, v in enumerate(order)
-            for j, w in enumerate(order)
-        )
+    for module in (chordal, morse):
+        monkeypatch.setattr(module, "_mcs_masked", counted, raising=False)
+    # Past the explicit cap; a build that reads only its counts derives no cell.
+    monkeypatch.setattr(morse, "EXPLICIT_VERTEX_CAP", 40)
+    g = standard_graph("path", 40)
+    assert build_chordal_matching(g).critical_f == critical_fvector_recursive(g)
+    assert searches == [g.full_mask]
 
 
 def test_recursive_counts_match_grid_construction():

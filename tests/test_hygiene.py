@@ -180,3 +180,18 @@ def test_the_homology_oracle_reads_no_gate_cache():
     assert "_facet_sets" not in text and "_field_certificate" not in text
     called = set(_called_names(ast.parse(text)))
     assert not called & {"facets_of", "_facets_of"}
+
+
+def test_one_maximum_cardinality_search_per_graph():
+    # chordal._peo runs the search once per graph and keeps its order; a
+    # driver that called the search itself could run it at every node.
+    callers = {"maximum_cardinality_search": set(), "_mcs_masked": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", "<module>")
+            for name in set(_called_names(node)) & callers.keys():
+                callers[name].add(f"{path.stem}.{owner}")
+    assert callers == {
+        "maximum_cardinality_search": {"chordal._peo"},
+        "_mcs_masked": {"chordal.maximum_cardinality_search"},
+    }

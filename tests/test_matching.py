@@ -88,9 +88,11 @@ def test_critical_simplices_examples():
     crit, fvec = critical_simplices(xk3, [])
     assert crit == frozenset({1, 2, 4}) and fvec == (3,)
 
-    res = build_auto(res_graph())  # the cone on the isolated vertex 3
+    # The cone on the isolated vertex 3 collapses onto {v} at the end 0 of
+    # the path, the smallest simplicial vertex.
+    res = build_auto(res_graph())
     crit, fvec = critical_simplices(independence_complex(res_graph()), res.pairs)
-    assert crit == frozenset({0b1000}) and fvec == (1,)
+    assert crit == frozenset({0b0001}) and fvec == (1,)
 
     res = extend_matching(P3, 0, {})
     crit, fvec = critical_simplices(XP3, res.pairs)

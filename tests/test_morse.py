@@ -34,7 +34,7 @@ from indmorse import (
     verify_matching,
 )
 from indmorse.cli import main
-from indmorse.morse import _grid_selector, _select_auto
+from indmorse.morse import _grid_selector
 
 from oracles import grid_rectangle_trace, universal_vertices
 from test_generators import small_specs
@@ -52,9 +52,9 @@ def check_result(g, res):
     return x
 
 
-# The isolated-vertex rule collapses I(G) onto {v}: with no neighbors, only
-# case (iii) applies, and every simplex avoiding v is paired with its
-# v-extension.
+# An isolated vertex is simplicial, and the extension step at it collapses
+# I(G) onto {v}: with no neighbors, only case (iii) applies, and every
+# simplex avoiding v is paired with its v-extension.
 def test_isolated_rule_k1():
     g = standard_graph("complete", 1)
     res = build_auto(g)
@@ -73,25 +73,46 @@ def test_isolated_rule_two_points():
 
 
 def test_isolated_rule_cone_over_p3():
+    # The isolated 3 is no rule of its own: the smallest simplicial vertex is
+    # the end 0 of the path, and the one child, under u = 1, is the single
+    # vertex 3, whose {3} is x_1.
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     res = build_auto(g)
     assert res.critical_f == (1,)
-    assert res.critical_set == frozenset({0b1000})
-    assert (0, 0b1000) in res.pairs
+    assert res.critical_set == frozenset({0b0001}) and res.special_zero == 0b0001
+    assert (0, 0b0001) in res.pairs and (0b0010, 0b1010) in res.pairs
     check_result(g, res)
 
 
 def test_complete_rule_examples():
-    # The empty matching on a clique: n critical points.  K1 has an
-    # isolated vertex, so it takes the rule above.
-    for n in (2, 3):
+    # A clique is no rule of its own: at its lowest vertex v no u has a
+    # child, so the step pairs only (empty, {v}) and leaves n critical points.
+    for n in range(1, 6):
         g = standard_graph("complete", n)
         res = build_auto(g)
-        assert res.pairs == () and res.critical_f == (n,)
-        assert res.special_zero is None
+        assert res.pairs == ((0, 1),) and res.critical_f == (n,)
+        assert res.special_zero == 1 and res.critical_set == {1 << w for w in range(n)}
         check_result(g, res)
     col = grid_graph(GridSpec.of(2, 0, [[1], [1], [1]]))
     assert build_auto(col).critical_f == (3,)
+    spec = GridSpec.of(0, 2, [[2, 1, 1]])
+    res = build_grid_matching(grid_graph(spec), spec)
+    assert res.pairs == ((0, 1),) and res.critical_f == (4,)
+
+
+def test_extend_matching_covers_isolated_and_universal_vertices():
+    # The step at an isolated v or in a clique needs no sub-matching and
+    # gives build_auto's counts.
+    k3 = standard_graph("complete", 3)
+    cone = Graph.from_edges(4, [(0, 1), (1, 2)])
+    cases = [(standard_graph("complete", 1), 0), (cone, 3)]
+    cases += [(k3, v) for v in range(3)]
+    for g, v in cases:
+        res = extend_matching(g, v, {})
+        field = check_field(independence_complex(g), res.pairs)
+        assert field.ok and field.critical == res.critical_set
+        assert res.special_zero == 1 << v
+        assert field.critical_f == res.critical_f == build_auto(g).critical_f
 
 
 def test_extend_matching_p3():
@@ -127,10 +148,6 @@ def test_extend_matching_grid_corner():
 
 def test_extend_matching_rejects_bad_vertices():
     p5 = standard_graph("path", 5)
-    with pytest.raises(ValueError):
-        extend_matching(Graph.from_edges(2, []), 0, {})
-    with pytest.raises(ValueError):
-        extend_matching(standard_graph("complete", 3), 0, {})
     with pytest.raises(ValueError):
         extend_matching(standard_graph("cycle", 4), 0, {})
     with pytest.raises(ValueError):
@@ -317,6 +334,30 @@ def _builds_with_every_driver():
         yield g, build_auto
 
 
+def test_every_node_is_an_extension_step():
+    built = 0
+    for g, build in _builds_with_every_driver():
+        trace = {}
+        try:
+            res = build(g, trace=trace)
+        except UnsupportedGraphError:
+            continue
+        built += 1
+        assert res.recipe is not None and trace
+        for mask, node in trace.items():
+            _, node_mask, v, steps = node["result"].recipe
+            assert node["rule"] == "extend" and (node_mask, v) == (mask, node["v"])
+            assert [u for u, _, _ in steps] == list(node["children"])
+    assert built > 150
+    # Only the 0-vertex graph, with no vertex to select, has no recipe.
+    empty = standard_graph("empty", 0)
+    for build in (build_auto, build_chordal_matching):
+        trace = {}
+        res = build(empty, trace=trace)
+        assert trace == {} and res.recipe is None
+        assert (res.pairs, res.critical_set, res.critical_f) == ((), frozenset(), ())
+
+
 def test_pairs_are_derived_on_first_read_at_every_node(monkeypatch):
     enumerations = []
     independent_sets = morse._independent_sets
@@ -345,7 +386,7 @@ def test_pairs_are_derived_on_first_read_at_every_node(monkeypatch):
             assert crit == res.critical_set and fvec == res.critical_f
         # Each extension node's pairs are derived once, however many
         # parents share it.
-        assert len(enumerations) == sum(nd["rule"] != "complete" for nd in trace.values())
+        assert len(enumerations) == len(trace)
         enumerations.clear()
     assert built > 150
 
@@ -358,20 +399,22 @@ def test_repr_reads_stored_fields_only():
     assert res.__dict__["_pairs"] is None
     assert res.__dict__["_critical_set"] is None
     assert text == (
-        "ConstructionResult(critical_f=(1,), special_zero=16, driver='auto', "
+        "ConstructionResult(critical_f=(1,), special_zero=1, driver='auto', "
         "pairs=not derived, critical_set=not derived)"
     )
     res.pairs
     assert "pairs=held, critical_set=not derived" in repr(res)
-    clique = build_chordal_matching(standard_graph("complete", 3))
-    assert repr(clique).endswith("pairs=held, critical_set=held)")
+    # Only the 0-vertex graph's result has no recipe, so it holds both.
+    empty = build_chordal_matching(standard_graph("empty", 0))
+    assert repr(empty).endswith("pairs=held, critical_set=held)")
     # Equality still compares the pairs and the critical set.
     assert res == build_auto(random_chordal(18, 0.35, 3))
 
 
 def test_cross_driver_equality_when_heads_agree():
+    # The two drivers agree on every head of about one graph in ten.
     agreements = 0
-    for seed in range(60):
+    for seed in range(300):
         g = random_chordal(1 + seed % 10, (seed % 5) / 4, seed)
         tc, ta = {}, {}
         rc = build_chordal_matching(g, trace=tc)
@@ -384,11 +427,6 @@ def test_cross_driver_equality_when_heads_agree():
             assert rc.critical_set == ra.critical_set
         assert sum(rc.critical_f) == sum(ra.critical_f)
     assert agreements > 20
-
-
-def smallest_simplicial(g, mask):
-    rule, v = _select_auto(g, mask)
-    return rule, v
 
 
 def audit_extend_node(g, mask, node, trace):
@@ -618,9 +656,9 @@ def _tampered_trees():
     yield pytest.param(
         P5, build_auto(chorded), P5.full_mask,
         "the recipe is not this node's extension step", id="tree-of-another-graph")
-    # The child of {3, ..., 6} under u = 4 is {6}; the cone on 6 over three
-    # edges has the same critical cells and other pairs.
-    cone = build_auto(Graph.from_edges(7, [(0, 1), (2, 3), (4, 5)]))
+    # The child of {3, ..., 6} under u = 4 is {6}; the cone on 6 over a
+    # hexagon on 0..5 has the same special 0-simplex {6} and counts (1,).
+    cone = build_auto(Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)]))
     yield pytest.param(
         P7, _restep(p7, 1, child=_restep(p7_child, 4, child=cone)), 0b1000000,
         "the recipe is not this node's extension step", id="child-from-another-graph")
@@ -634,18 +672,18 @@ def _tampered_trees():
     yield pytest.param(
         EDGE_AND_P5, _restep(edge_and_p5, 1, xu=edge), EDGE_AND_P5.full_mask,
         "x_1 is not a critical 0-simplex of child 1", id="x_u-not-a-0-simplex")
-    # The child under u = 1 is the clique {2, 3}; {0} is no cell of it.
+    # The child under u = 1 is the edge {2, 3}; {0} is no cell of it.
     yield pytest.param(
         TWO_EDGES, _restep(build_auto(TWO_EDGES), 1, xu=0b0001), 0b1111,
         "x_1 is not a critical 0-simplex of child 1", id="x_u-outside-the-child")
     yield pytest.param(
         P5, _critical(p5, lambda crit: crit | {0b101}), P5.full_mask,
         "the critical set is not the extension's", id="extra-critical-cell")
-    # x_1 = {2} is dropped from the given critical set; the recipe names {3}.
-    two_edges = build_auto(TWO_EDGES)
+    # The recipe drops x_1 = {2} and lifts {3} to {1, 3}; the given set
+    # lifts {2} instead, as if x_1 were {3}, and keeps the counts.
     yield pytest.param(
         TWO_EDGES,
-        _replaced(_restep(two_edges, 1, xu=0b1000), critical_set=two_edges.critical_set),
+        _critical(build_auto(TWO_EDGES), lambda crit: crit - {0b1010} | {0b0110}),
         0b1111, "the critical set is not the extension's", id="x_u-not-the-dropped-cell")
     yield pytest.param(
         P5, _replaced(p5, special_zero=0b100), P5.full_mask,
@@ -660,18 +698,23 @@ def _tampered_trees():
         ),
         EDGE_AND_P3.full_mask, "x_1 is not the special 0-simplex of child 1",
         id="x_u-not-the-special-zero")
+    # Only the 0-vertex graph's node has no recipe; a clique's is an
+    # extension step like any other.
+    no_recipe = "a node with no recipe is not the 0-vertex graph's"
     singletons = frozenset(1 << w for w in range(5))
     yield pytest.param(
         P5, _replaced(p5, pairs=(), recipe=None, critical_set=singletons),
-        P5.full_mask, "the mask is not a clique", id="recipe-less-non-clique")
+        P5.full_mask, no_recipe, id="recipe-less-non-clique")
     k3 = standard_graph("complete", 3)
     yield pytest.param(
+        k3, _replaced(build_auto(k3), pairs=(), recipe=None, critical_set={1, 2, 4}),
+        k3.full_mask, no_recipe, id="recipe-less-clique")
+    yield pytest.param(
         k3, _critical(build_auto(k3), lambda crit: {0b001}), k3.full_mask,
-        "a clique's critical cells are not its singletons",
-        id="clique-cells-not-singletons")
+        "the critical set is not the extension's", id="clique-cells-not-singletons")
     yield pytest.param(
         k3, _replaced(build_auto(k3), critical_f=(2,)), k3.full_mask,
-        "a clique's critical counts are not its size", id="clique-counts-not-its-size")
+        "the critical counts are not the extension's", id="clique-counts-not-its-size")
     # The child {3, ..., 6} of P7 has critical_f (1,); the root's (1, 0, 1)
     # is the assembly of (1, 1), so only the child's counts are wrong.
     yield pytest.param(
