@@ -119,13 +119,7 @@ class Graph:
             raise ValueError(f"vertex count {n} is too large")
         if bad is not None:
             raise ValueError(bad)
-        lab = None
-        if labels is not None:
-            lab = tuple(map(tuple, labels))
-            for cell in lab:
-                if not (len(cell) == 2 and type(cell[0]) is int and type(cell[1]) is int):
-                    raise ValueError(f"malformed label {list(cell)!r}")
-        return _graph_of_rows(n, tuple(adj), lab)
+        return _graph_of_rows(n, tuple(adj), _checked_labels(labels))
 
     @property
     def full_mask(self) -> int:
@@ -138,6 +132,15 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range")
+
+
+def _checked_labels(labels) -> tuple[tuple[int, int], ...] | None:
+    """Cell labels as a tuple of (int, int) pairs; None stays None."""
+    lab = None if labels is None else tuple(map(tuple, labels))
+    for cell in lab or ():
+        if not (len(cell) == 2 and type(cell[0]) is int and type(cell[1]) is int):
+            raise ValueError(f"malformed label {list(cell)!r}")
+    return lab
 
 
 def _graph_of_rows(n: int, adj: tuple[int, ...], labels=None) -> Graph:
@@ -182,20 +185,48 @@ def domination_number(g: Graph) -> int:
 
 
 def graph_to_json(g: Graph) -> dict:
-    """Graph as a JSON-ready dict: {"n", "edges", "labels" (optional)}."""
-    obj: dict = {"n": g.n, "edges": g.edges()}
+    """Graph as a JSON-ready dict {"n", "rows", "labels"?}: entry v of "rows" is
+    adj[v] >> v + 1 in lowercase hex, whose bit i stands for vertex v + 1 + i."""
+    obj: dict = {"n": g.n, "rows": [format(row >> v + 1, "x") for v, row in enumerate(g.adj)]}
     if g.labels is not None:
         obj["labels"] = [list(lab) for lab in g.labels]
     return obj
 
 
 def graph_from_json(obj: dict) -> Graph:
-    """Parse the dict form produced by :func:`graph_to_json`."""
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError('graph JSON must contain "n" and "edges"')
+    """Parse a graph dict with "n" and exactly one of "rows", as
+    :func:`graph_to_json` writes it, and "edges", a list of [u, v] pairs.
+
+    A file holds only the rows above the diagonal, half the size of full
+    rows, so their range is checked and their mirror built here."""
+    if not isinstance(obj, dict) or "n" not in obj or not ("edges" in obj or "rows" in obj):
+        key = "rows" if isinstance(obj, dict) and "rows" in obj else "edges"
+        raise ValueError(f'graph JSON must contain "n" and "{key}"')
+    if "edges" in obj and "rows" in obj:
+        raise ValueError('graph JSON must not contain both "edges" and "rows"')
     n = obj["n"]
     # JSON integers only: bool is an int subclass, and a float or a string
     # must not be rounded or parsed into a vertex.
     if type(n) is not int or n < 0:
         raise ValueError('"n" must be a nonnegative integer')
-    return Graph.from_edges(n, obj["edges"], obj.get("labels"))
+    if "edges" in obj:
+        return Graph.from_edges(n, obj["edges"], obj.get("labels"))
+    rows = obj["rows"]
+    # Checked before anything is allocated: a huge "n" costs nothing.
+    if type(rows) is not list or len(rows) != n:
+        raise ValueError(f'"rows" must be a list of {n} hex strings')
+    for v, text in enumerate(rows):
+        # int(text, 16) alone would take "0x1", "+1", "1_0", " 1" and "A".
+        if type(text) is not str or not text or text.strip("0123456789abcdef"):
+            raise ValueError(f"malformed row {text!r} of vertex {v}")
+    adj = [int(text, 16) << v + 1 for v, text in enumerate(rows)]
+    # Each bit above the diagonal, once in range, sets its mirror below it.
+    for v in range(n):
+        up, low = adj[v] >> v + 1, 1 << v
+        if up >> n - v - 1:
+            raise ValueError(f"adjacency row of {v} mentions unknown vertices")
+        while up:
+            top = up.bit_length()
+            adj[v + top] |= low
+            up ^= 1 << top - 1
+    return _graph_of_rows(n, tuple(adj), _checked_labels(obj.get("labels")))

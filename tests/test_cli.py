@@ -6,7 +6,6 @@ stdout or to ``--out`` files, plus the process exit code contract:
 """
 
 import contextlib
-import copy
 import inspect
 import io
 import json
@@ -25,6 +24,7 @@ from indmorse import (
     complexes,
     counts,
     generators,
+    graph_from_json,
     graph_to_json,
     grid_graph,
     homology,
@@ -36,7 +36,7 @@ from indmorse import (
 )
 from indmorse.cli import main
 from test_generators import small_specs
-from test_graph_core import graphs
+from test_graph_core import edge_list_json, graphs
 from test_homotopy import random_non_chordal
 
 
@@ -79,7 +79,7 @@ def test_gen_grid_unit(capsys):
     assert code == 0
     assert data["n"] == 4
     assert data["labels"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    edges = {tuple(e) for e in data["edges"]}
+    edges = set(graph_from_json(data).edges())
     assert edges == {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
 
 
@@ -99,17 +99,17 @@ def test_gen_power_z6(capsys):
     assert code == 0
     assert data["n"] == 6
     # K6 minus the two pairs joining the order-2 element to the order-3 ones.
-    assert len(data["edges"]) == 13
+    assert len(graph_from_json(data).edges()) == 13
 
 
 def test_gen_standard_kinds(capsys):
     code, data, _ = run_json(capsys, "gen", "cycle", "--n", "5")
     assert code == 0
-    assert data["n"] == 5 and len(data["edges"]) == 5
+    assert data["n"] == 5 and len(graph_from_json(data).edges()) == 5
 
     code, data, _ = run_json(capsys, "gen", "empty", "--n", "3")
     assert code == 0
-    assert data["edges"] == []
+    assert graph_from_json(data).edges() == []
 
 
 def test_gen_chordal_random_seed_determinism(capsys):
@@ -752,6 +752,51 @@ def test_vertex_count_too_large_to_allocate_exits_2(capsys, tmp_path, n):
         assert err == f"error: vertex count {n} is too large\n"
 
 
+def test_row_count_too_large_to_allocate_exits_2(capsys, tmp_path):
+    # The list's length is checked before any row is allocated.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2**62, "rows": []}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        result = run(capsys, "analyze", "--mode", "counts", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", f'error: "rows" must be a list of {2**62} hex strings\n')
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "rows": "10"},
+        {"n": 2, "rows": {"0": "1"}},
+        {"n": 2, "rows": ["1"]},
+        {"n": 2, "rows": ["1", "0", "0"]},
+        {"n": 2, "rows": ["1", 0]},
+        {"n": 2, "rows": [1, "0"]},
+        {"n": 2, "rows": ["1", None]},
+        {"n": 2, "rows": ["", "0"]},
+        {"n": 2, "rows": ["0x1", "0"]},
+        {"n": 2, "rows": ["+1", "0"]},
+        {"n": 3, "rows": ["1_0", "0", "0"]},
+        {"n": 2, "rows": [" 1", "0"]},
+        {"n": 2, "rows": ["A", "0"]},
+        {"n": 2, "rows": ["2", "0"]},
+        {"n": 2, "rows": ["1", "1"]},
+        {"n": 3, "rows": ["4", "0", "0"]},
+        {"n": 2, "rows": ["1", "0"], "edges": [[0, 1]]},
+    ],
+)
+def test_malformed_rows_exit_2_with_one_error_line(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (("analyze", str(bad)), ("analyze", "--mode", "counts", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -788,14 +833,12 @@ def test_pair_vertices_must_be_json_integers(capsys, tmp_path):
 
 # Malformed or extreme values.  No value is an integer from 8 to 10**19, so
 # a spoiled "n" never builds a graph with more than 7 vertices and every
-# command finishes in milliseconds.
+# command finishes in milliseconds.  "1" and "ff" are rows, in range or not.
 JUNK = st.sampled_from(
-    [None, True, -1, 5, 10**20, 1.5, float("inf"), "x", [], [2000, 2000]]
+    [None, True, -1, 5, 10**20, 1.5, float("inf"), "x", "1", "ff", [], [2000, 2000]]
 )
-GRID_DOCS = [
-    graph_to_json(grid_graph(spec))
-    for spec in small_specs(2, 2, 2)
-    if spec.total_vertices() <= 7
+GRID_GRAPHS = [
+    grid_graph(spec) for spec in small_specs(2, 2, 2) if spec.total_vertices() <= 7
 ]
 
 
@@ -810,12 +853,12 @@ def _spoil(draw, value):
 
 @st.composite
 def graph_docs(draw):
-    """A graph document, labeled or not, with at most one spoiled entry."""
-    doc = copy.deepcopy(
-        draw(st.one_of(graphs(7).map(graph_to_json), st.sampled_from(GRID_DOCS)))
-    )
+    """A graph document, in either form, labeled or not, with at most one
+    spoiled entry: spoiling the other form's key adds it."""
+    g = draw(st.one_of(graphs(7), st.sampled_from(GRID_GRAPHS)))
+    doc = draw(st.sampled_from([graph_to_json, edge_list_json]))(g)
     if draw(st.booleans()):
-        key = draw(st.sampled_from(["n", "edges", "labels"]))
+        key = draw(st.sampled_from(["n", "edges", "rows", "labels"]))
         doc[key] = _spoil(draw, doc.get(key, []))
     return doc
 

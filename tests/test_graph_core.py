@@ -1,6 +1,7 @@
 """Vertex-level graph primitives against frozen examples and brute force."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -216,6 +217,67 @@ def test_graph_json_round_trip():
     for g in (P4, K3, GRID11, standard_graph("empty", 2)):
         back = graph_from_json(graph_to_json(g))
         assert back.n == g.n and back.adj == g.adj and back.labels == g.labels
+
+
+def test_graph_json_writes_upper_rows_in_hex():
+    assert graph_to_json(P3) == {"n": 3, "rows": ["1", "1", "0"]}
+    assert graph_to_json(Graph.from_edges(0, [])) == {"n": 0, "rows": []}
+    assert graph_to_json(GRID11) == {
+        "n": 4, "rows": ["7", "2", "1", "0"], "labels": [[0, 0], [0, 1], [1, 0], [1, 1]]
+    }
+    # Bit i of entry v stands for vertex v + 1 + i.
+    g = Graph.from_edges(20, [(0, 19), (3, 4), (3, 8)])
+    assert graph_to_json(g)["rows"] == ["40000", "0", "0", "11"] + ["0"] * 16
+
+
+def edge_list_json(g):
+    """The edge-list form of g, the other form graph_from_json reads."""
+    obj = {"n": g.n, "edges": g.edges()}
+    if g.labels is not None:
+        obj["labels"] = [list(lab) for lab in g.labels]
+    return obj
+
+
+LABELLED_GRIDS = [grid_graph(spec) for spec in small_specs(2, 2, 2)]
+
+
+@given(st.one_of(graphs(12), st.just(Graph.from_edges(0, [])), st.sampled_from(LABELLED_GRIDS)))
+def test_both_graph_json_forms_load_to_the_graph(g):
+    for doc in (graph_to_json(g), edge_list_json(g)):
+        assert graph_from_json(json.loads(json.dumps(doc))) == g
+
+
+def test_graph_json_rows_are_linear_in_the_adjacency_bits():
+    k200 = standard_graph("complete", 200)
+    assert len(json.dumps(graph_to_json(k200))) < 8000
+    assert len(json.dumps(edge_list_json(k200))) > 200_000
+
+
+def test_graph_json_row_errors():
+    cases = [
+        ({"n": 2, "edges": [], "rows": ["1", "0"]}, 'graph JSON must not contain both "edges" and "rows"'),
+        ({"n": 2}, 'graph JSON must contain "n" and "edges"'),
+        ({"rows": []}, 'graph JSON must contain "n" and "rows"'),
+        ({"n": -1, "rows": []}, '"n" must be a nonnegative integer'),
+        ({"n": 2**62, "rows": []}, f'"rows" must be a list of {2**62} hex strings'),
+        ({"n": 2, "rows": "10"}, '"rows" must be a list of 2 hex strings'),
+        ({"n": 2, "rows": ["1"]}, '"rows" must be a list of 2 hex strings'),
+        ({"n": 2, "rows": ["1", 0]}, "malformed row 0 of vertex 1"),
+        ({"n": 2, "rows": ["0x1", "0"]}, "malformed row '0x1' of vertex 0"),
+        ({"n": 2, "rows": ["", "0"]}, "malformed row '' of vertex 0"),
+        ({"n": 3, "rows": ["1_0", "0", "0"]}, "malformed row '1_0' of vertex 0"),
+        ({"n": 2, "rows": ["A", "0"]}, "malformed row 'A' of vertex 0"),
+        ({"n": 2, "rows": ["2", "0"]}, "adjacency row of 0 mentions unknown vertices"),
+        ({"n": 2, "rows": ["1", "1"]}, "adjacency row of 1 mentions unknown vertices"),
+        # A malformed row anywhere comes before a row out of range.
+        ({"n": 2, "rows": ["2", "x"]}, "malformed row 'x' of vertex 1"),
+        ({"n": 2, "rows": ["1", "0"], "labels": [[0, 0], [0, True]]}, "malformed label [0, True]"),
+        ({"n": 2, "rows": ["1", "0"], "labels": [[0, 0]]}, "labels length does not match vertex count"),
+    ]
+    for doc, text in cases:
+        with pytest.raises(ValueError) as got:
+            graph_from_json(doc)
+        assert str(got.value) == text, doc
 
 
 def _asymmetry_reference(adj):
