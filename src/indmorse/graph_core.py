@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lshift
 from typing import Iterator
 
 # Explicit complexes and pair lists grow exponentially in the vertex count;
@@ -17,6 +18,10 @@ from typing import Iterator
 EXPLICIT_VERTEX_CAP = 32
 # Domination number is found by exhaustive subset search.
 DOMINATION_VERTEX_CAP = 24
+# Costs of mirroring rows in characters of _mirrored's text transpose, timed
+# on graphs of 10 to 1,500 vertices: an edge of its bit loop, a transposed row.
+_EDGE_COST = 100
+_ROW_COST = 400
 
 
 class CapabilityError(Exception):
@@ -60,23 +65,13 @@ class Graph:
             raise ValueError("adjacency length does not match vertex count")
         adj = self.adj
         full = (1 << self.n) - 1
-        # Symmetric iff every entry (v, w) with w > v has its mirror (w, v)
-        # and the entries above the diagonal are as many as those below.
-        total = upper = 0
-        mirrored = True
         for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency row of {v} mentions unknown vertices")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            total += row.bit_count()
-            up = row >> v + 1
-            upper += up.bit_count()
-            while mirrored and up:
-                low = up & -up
-                mirrored = adj[v + low.bit_length()] >> v & 1
-                up ^= low
-        if not mirrored or 2 * upper != total:
+        # Symmetric iff equal to the mirror of its rows above the diagonal.
+        if _mirrored([row >> v + 1 for v, row in enumerate(adj)]) != adj:
             for v, row in enumerate(adj):
                 for w in bits(row):
                     if not adj[w] >> v & 1:
@@ -143,6 +138,34 @@ def _checked_labels(labels) -> tuple[tuple[int, int], ...] | None:
     return lab
 
 
+def _mirrored(ups: list[int]) -> tuple[int, ...]:
+    """Symmetric rows from those above the diagonal as a file holds them (bit
+    i of ups[v] is vertex v + 1 + i), naming the first row out of range.
+    Dense rows are transposed at C level: in binary text of one stride,
+    column w, the row of w below the diagonal, is one strided slice read by
+    one ``int(..., 2)``: a few calls a row and a character a matrix cell."""
+    n = len(ups)
+    adj = list(map(lshift, ups, range(1, n + 1)))
+    if _EDGE_COST * sum(map(int.bit_count, ups)) > n * (n + _ROW_COST):
+        # An in-range row v is "0b1" and its n digits, most significant
+        # first; the leading "0" makes column 0 read as empty.
+        text = "0" + "".join(map(bin, map((1 << n).__add__, adj)))
+        if len(text) == 1 + n * (n + 3):
+            return tuple(row | int(text[w * (n + 2) :: -n - 3], 2) for w, row in enumerate(adj))
+    # Each row is walked from its top bit, so the first row out of range
+    # indexes past adj before any later row is read.
+    try:
+        for v, up in enumerate(ups):
+            low = 1 << v
+            while up:
+                top = up.bit_length()
+                adj[v + top] |= low
+                up ^= 1 << top - 1
+    except IndexError:
+        raise ValueError(f"adjacency row of {v} mentions unknown vertices") from None
+    return tuple(adj)
+
+
 def _graph_of_rows(n: int, adj: tuple[int, ...], labels=None) -> Graph:
     """A Graph on rows in range, loop-free and symmetric by construction (as
     from_edges sets them): only the vertex count and labels are checked."""
@@ -198,7 +221,7 @@ def graph_from_json(obj: dict) -> Graph:
     :func:`graph_to_json` writes it, and "edges", a list of [u, v] pairs.
 
     A file holds only the rows above the diagonal, half the size of full
-    rows, so their range is checked and their mirror built here."""
+    rows, so their range is checked and their mirror built on load."""
     if not isinstance(obj, dict) or "n" not in obj or not ("edges" in obj or "rows" in obj):
         key = "rows" if isinstance(obj, dict) and "rows" in obj else "edges"
         raise ValueError(f'graph JSON must contain "n" and "{key}"')
@@ -215,18 +238,12 @@ def graph_from_json(obj: dict) -> Graph:
     # Checked before anything is allocated: a huge "n" costs nothing.
     if type(rows) is not list or len(rows) != n:
         raise ValueError(f'"rows" must be a list of {n} hex strings')
-    for v, text in enumerate(rows):
-        # int(text, 16) alone would take "0x1", "+1", "1_0", " 1" and "A".
-        if type(text) is not str or not text or text.strip("0123456789abcdef"):
-            raise ValueError(f"malformed row {text!r} of vertex {v}")
-    adj = [int(text, 16) << v + 1 for v, text in enumerate(rows)]
-    # Each bit above the diagonal, once in range, sets its mirror below it.
-    for v in range(n):
-        up, low = adj[v] >> v + 1, 1 << v
-        if up >> n - v - 1:
-            raise ValueError(f"adjacency row of {v} mentions unknown vertices")
-        while up:
-            top = up.bit_length()
-            adj[v + top] |= low
-            up ^= 1 << top - 1
-    return _graph_of_rows(n, tuple(adj), _checked_labels(obj.get("labels")))
+    # int(text, 16) alone would take "0x1", "+1", "1_0", " 1" and "A".  The
+    # list is tested at C level; the loop names the first malformed row.
+    digits = "0123456789abcdef"
+    if not (set(map(type, rows)) <= {str} and all(rows) and not "".join(rows).strip(digits)):
+        for v, text in enumerate(rows):
+            if type(text) is not str or not text or text.strip(digits):
+                raise ValueError(f"malformed row {text!r} of vertex {v}")
+    adj = _mirrored([int(text, 16) for text in rows])
+    return _graph_of_rows(n, adj, _checked_labels(obj.get("labels")))

@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from indmorse import graph_core
 from indmorse import (
     CapabilityError,
     Graph,
@@ -254,6 +256,11 @@ def test_graph_json_rows_are_linear_in_the_adjacency_bits():
 
 
 def test_graph_json_row_errors():
+    # K_30's rows are past the mirror's crossover; "7ffffff" in row 3 sets
+    # vertex 30, and in row 7 vertex 34.
+    k30 = graph_to_json(standard_graph("complete", 30))["rows"]
+    bad3 = k30[:3] + ["7ffffff"] + k30[4:]
+    bad3_7 = bad3[:7] + ["7ffffff"] + bad3[8:]
     cases = [
         ({"n": 2, "edges": [], "rows": ["1", "0"]}, 'graph JSON must not contain both "edges" and "rows"'),
         ({"n": 2}, 'graph JSON must contain "n" and "edges"'),
@@ -267,8 +274,11 @@ def test_graph_json_row_errors():
         ({"n": 2, "rows": ["", "0"]}, "malformed row '' of vertex 0"),
         ({"n": 3, "rows": ["1_0", "0", "0"]}, "malformed row '1_0' of vertex 0"),
         ({"n": 2, "rows": ["A", "0"]}, "malformed row 'A' of vertex 0"),
+        ({"n": 2, "rows": [type("Hex", (str,), {})("1"), "0"]}, "malformed row '1' of vertex 0"),
         ({"n": 2, "rows": ["2", "0"]}, "adjacency row of 0 mentions unknown vertices"),
         ({"n": 2, "rows": ["1", "1"]}, "adjacency row of 1 mentions unknown vertices"),
+        ({"n": 30, "rows": bad3}, "adjacency row of 3 mentions unknown vertices"),
+        ({"n": 30, "rows": bad3_7}, "adjacency row of 3 mentions unknown vertices"),
         # A malformed row anywhere comes before a row out of range.
         ({"n": 2, "rows": ["2", "x"]}, "malformed row 'x' of vertex 1"),
         ({"n": 2, "rows": ["1", "0"], "labels": [[0, 0], [0, True]]}, "malformed label [0, True]"),
@@ -278,6 +288,51 @@ def test_graph_json_row_errors():
         with pytest.raises(ValueError) as got:
             graph_from_json(doc)
         assert str(got.value) == text, doc
+
+
+@st.composite
+def graphs_of_any_density(draw):
+    n = draw(st.integers(0, 80))
+    p = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+K200 = standard_graph("complete", 200)
+GRID300 = grid_graph(GridSpec.of(4, 4, [[12] * 5] * 5))
+PATH1500 = standard_graph("path", 1500)
+
+
+def _upper_rows(g):
+    return [row >> v + 1 for v, row in enumerate(g.adj)]
+
+
+def _mirror_path(ups):
+    """_mirrored's rows for ups, and whether it wrote them as text."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "bin", lambda x: calls.append(x) or bin(x), raising=False)
+        return graph_core._mirrored(ups), bool(calls)
+
+
+@given(graphs_of_any_density())
+@example(K200)
+@example(GRID300)
+@example(PATH1500)
+@example(Graph.from_edges(0, []))
+def test_both_mirror_paths_give_the_graph_rows(g):
+    ups = _upper_rows(g)
+    assert _mirror_path(ups)[0] == g.adj
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_EDGE_COST", 0)
+        assert _mirror_path(ups) == (g.adj, False)
+        mp.setattr(graph_core, "_ROW_COST", -(10**9))
+        assert _mirror_path(ups) == (g.adj, g.n > 0)
+
+
+def test_the_mirror_crossover_splits_the_named_graphs():
+    for g, transposed in ((K200, True), (GRID300, True), (PATH1500, False)):
+        assert _mirror_path(_upper_rows(g)) == (g.adj, transposed)
 
 
 def _asymmetry_reference(adj):

@@ -195,3 +195,35 @@ def test_one_maximum_cardinality_search_per_graph():
         "maximum_cardinality_search": {"chordal._peo"},
         "_mcs_masked": {"chordal.maximum_cardinality_search"},
     }
+
+
+def _functions(tree: ast.Module):
+    """A module's top-level functions and class methods by qualified name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_one_mirror_of_upper_rows():
+    # graph_core._mirrored is the one routine that builds the rows below the
+    # diagonal from those above it, and the file reader and the checked
+    # constructor both call it.  Besides it, only from_edges, which sets
+    # both ends of each edge, ORs bits into a row in graph_core.
+    callers, setters = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, node in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            if "_mirrored" in set(_called_names(node)):
+                callers.add(f"{path.stem}.{name}")
+            if path.name == "graph_core.py" and any(
+                isinstance(sub, ast.AugAssign)
+                and isinstance(sub.op, ast.BitOr)
+                and isinstance(sub.target, ast.Subscript)
+                for sub in ast.walk(node)
+            ):
+                setters.add(name)
+    assert callers == {"graph_core.Graph.__post_init__", "graph_core.graph_from_json"}
+    assert setters == {"Graph.from_edges", "_mirrored"}
