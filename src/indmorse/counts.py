@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .chordal import _peo
 from .generators import GridSpec
 from .graph_core import Graph
-from .morse import _assemble_counts, _peo_selector, _recurse, _select_auto, _trim
+from .morse import _assemble_counts, _auto_selector, _peo_selector, _recurse, _trim
 
 
 def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
@@ -35,17 +35,17 @@ def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
     An isolated v gives (1,) and a v in a clique on c vertices (c,).  A
     chordal graph takes build_chordal_matching's selection, the first vertex
     of its one perfect elimination ordering left in the subgraph, found by a
-    bisection with no scan.  Any other graph takes build_auto's, the
-    smallest simplicial vertex, so the first subgraph without one is the one
-    build_auto reports.  On a chordal graph the construction is perfect, so
-    every simplicial choice gives the Betti numbers and both policies agree.
+    bisection with no scan.  Any other graph takes build_auto's selector,
+    the smallest simplicial vertex, so the first subgraph without one is the
+    one build_auto reports.  On a chordal graph the construction is perfect,
+    so every simplicial choice gives the Betti numbers and both agree.
 
     It runs on the construction's own recursion, ``morse._recurse``, so its
     depth is not bounded by the interpreter's.
     """
     if g.n == 0:
         return ()
-    select = _select_auto if _peo(g) is None else _peo_selector(g)
+    select = _auto_selector(g) if _peo(g) is None else _peo_selector(g)
     return _recurse(g, select, _assemble_counts)
 
 

@@ -17,7 +17,7 @@ isolated vertex and every vertex of a clique are simplicial, so every node
 of a recursion is one such step, and a driver is one function select(g,
 mask) -> v: the first vertex of the graph's perfect elimination ordering in
 the mask (chordal), a vertex of the corner cell (labeled grid-family
-graphs), or the smallest simplicial vertex (generic).
+graphs), or the smallest simplicial vertex (generic, keeping witnesses).
 
 A node of the recursion tree stores its critical counts, assembled from its
 children's by the same rule the count route uses (``_assemble_counts``), and
@@ -256,17 +256,45 @@ def extend_matching(
     return _scoped_node(g, full, v, checked, "extend")
 
 
-def _select_auto(g: Graph, mask: int) -> int:
-    """The generic driver's selection: the smallest simplicial vertex."""
-    for v in bits(mask):
-        nv = g.adj[v] & mask
-        if all(nv & ~(g.adj[u] | 1 << u) == 0 for u in bits(nv)):
-            return v
-    raise UnsupportedGraphError(
-        "no simplicial vertex in the induced subgraph on "
-        f"{sorted(bits(mask))}",
-        tuple(bits(mask)),
-    )
+def _auto_selector(g: Graph):
+    """The generic driver's selection: the smallest simplicial vertex.
+
+    A vertex that fails keeps its witness, two nonadjacent neighbors in the
+    mask; while both stay in the mask, one mask test rejects it again.  The
+    test never tries a true twin (same closed neighborhood) of v or of a
+    neighbor already tried: a twin of v is adjacent to all of N(v), and a
+    twin of u fails exactly where u does."""
+    adj = g.adj
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+    classes: dict[int, int] = {}
+    for v, row in enumerate(closed):
+        classes[row] = classes.get(row, 0) | 1 << v
+    twins = [classes[row] for row in closed]
+    witness: dict[int, int] = {}
+
+    def select(g: Graph, mask: int) -> int:
+        for v in bits(mask):
+            pair = witness.get(v)
+            if pair is not None and mask & pair == pair:
+                continue
+            rest = adj[v] & mask & ~twins[v]
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                apart = rest & ~closed[u]
+                if apart:
+                    witness[v] = low | (apart & -apart)
+                    break
+                rest &= ~twins[u]
+            else:
+                return v
+        raise UnsupportedGraphError(
+            "no simplicial vertex in the induced subgraph on "
+            f"{sorted(bits(mask))}",
+            tuple(bits(mask)),
+        )
+
+    return select
 
 
 def _peo_selector(g: Graph):
@@ -445,7 +473,7 @@ def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionR
 def build_auto(g: Graph, trace: dict | None = None) -> ConstructionResult:
     """Generic driver: recurse on the smallest simplicial vertex at each stage."""
     _check_cap(g)
-    return _build(g, _select_auto, "auto", trace)
+    return _build(g, _auto_selector(g), "auto", trace)
 
 
 def build_grid_matching(

@@ -200,7 +200,7 @@ def mcs_quadratic(adj, mask: int) -> list[int]:
     """Maximum cardinality search on the subgraph induced by ``mask`` by a
     full rescan of the unnumbered vertices at every step (highest weight,
     smallest id on ties), numbered from the back.  This fixes the order that
-    the library's bucketed search must reproduce."""
+    the library's bit-sliced search must reproduce."""
     order: list[int] = []
     weight = {v: 0 for v in bits(mask)}
     unnumbered = mask

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import sys
+from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from indmorse import (
     Graph,
@@ -15,7 +17,7 @@ from indmorse import (
     standard_graph,
     verify_peo,
 )
-from indmorse.chordal import _mcs_masked
+from indmorse.chordal import _mcs_masked, _peo
 from oracles import (
     has_induced_long_cycle,
     induced_delete,
@@ -116,3 +118,93 @@ def test_chordality_survives_induced_deletion():
         kill = rng.randrange(1 << g.n)
         h, _ = induced_delete(g, kill)
         assert is_chordal(h)
+
+
+def _edges(g):
+    return [(u, w) for u in range(g.n) for w in bits(g.adj[u]) if u < w]
+
+
+@st.composite
+def graphs_for_the_checked_search(draw):
+    """A random graph, a random chordal graph, or a random chordal graph
+    less one edge, which is often not chordal and fails the check early."""
+    kind = draw(st.sampled_from(("random", "chordal", "chordal less an edge")))
+    if kind == "random":
+        return draw(graphs(12))
+    g = random_chordal(draw(st.integers(1, 16)), draw(st.floats(0, 1)),
+                       draw(st.integers(0, 10**6)))
+    edges = _edges(g)
+    if kind == "chordal" or not edges:
+        return g
+    drop = draw(st.sampled_from(edges))
+    return Graph.from_edges(g.n, [e for e in edges if e != drop])
+
+
+# Not chordal; at one pick the capped walk back misses the follower, and
+# only the most recently picked neighbor, not the earliest, shows it.
+FOLLOWER_PAST_THE_WALK = Graph.from_edges(8, [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3),
+    (1, 4), (1, 5), (1, 6), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6),
+])
+
+
+@given(graphs_for_the_checked_search())
+@example(FOLLOWER_PAST_THE_WALK)
+@example(standard_graph("cycle", 4))
+@example(standard_graph("empty", 0))
+def test_the_checked_search_is_the_search_and_its_check(g):
+    # _peo runs one search that checks its order as it goes; it must give
+    # the full search's order exactly when the standalone check accepts it.
+    order = maximum_cardinality_search(g)
+    want = order if verify_peo(g, order) else None
+    g.__dict__.pop("_peo", None)
+    assert _peo(g) == want
+
+
+def book_graph(k: int, spine_first: bool) -> Graph:
+    """K_2 joined to k independent vertices, the K_2 numbered first or
+    last: chordal, and every independent vertex's picked neighbors are the
+    K_2, picked long before it."""
+    a, b = (0, 1) if spine_first else (k, k + 1)
+    pages = [v for v in range(k + 2) if v not in (a, b)]
+    return Graph.from_edges(k + 2, [(a, b)] + [(s, v) for v in pages for s in (a, b)])
+
+
+class _LineBudgetExceeded(Exception):
+    pass
+
+
+def _python_lines(fn, budget: int) -> int:
+    """The Python lines fn() runs, counted by a trace function that stops
+    the run once they pass ``budget``."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if count > budget:
+                raise _LineBudgetExceeded
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    except _LineBudgetExceeded:
+        pass
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_the_follower_lookup_stays_linear_on_the_book_graph():
+    # Counted, not timed.  A walk back over the picks to each vertex's most
+    # recently picked neighbor would pass every earlier page: quadratic.
+    for spine_first in (True, False):
+        g = book_graph(2000, spine_first)
+        budget = 20 * (g.n + len(_edges(g)))
+        search = partial(_mcs_masked, g.adj, g.full_mask, check=True)
+        lines = _python_lines(search, budget)
+        assert 0 < lines <= budget, spine_first
+        assert _peo(g) == maximum_cardinality_search(g)

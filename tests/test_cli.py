@@ -473,16 +473,17 @@ def test_one_peo_search_per_run(capsys, p5, c4, monkeypatch):
     calls = []
 
     def counted(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, kwargs.get("check", False)))
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in ("maximum_cardinality_search", "verify_peo"):
+    for name in ("_mcs_masked", "maximum_cardinality_search", "verify_peo"):
         monkeypatch.setattr(chordal, name, counted(getattr(chordal, name)))
     # The summary's chordality check and the count route or the chordal
-    # driver share one search and one check of its order.
+    # driver share one search, which checks its order as it goes: no
+    # second search and no separate check of the order.
     for argv, want in (
         (("analyze", p5, "--mode", "counts", "--driver", "chordal"), 0),
         (("analyze", p5, "--mode", "counts"), 0),
@@ -492,7 +493,7 @@ def test_one_peo_search_per_run(capsys, p5, c4, monkeypatch):
     ):
         calls.clear()
         assert run(capsys, *argv)[0] == want, argv
-        assert calls == ["maximum_cardinality_search", "verify_peo"], argv
+        assert calls == [("_mcs_masked", True)], argv
 
 
 def test_explicit_analyze_builds_no_complex_without_the_oracle(

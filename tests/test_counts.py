@@ -134,14 +134,16 @@ def test_chordal_count_policy_matches_the_recursive_reference(g):
 def test_chordal_count_policy_does_not_scan(monkeypatch):
     calls = []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
+    def counted_selector(g):
+        select = morse._auto_selector(g)
+
+        def wrapper(g, mask):
+            calls.append("auto")
+            return select(g, mask)
 
         return wrapper
 
-    monkeypatch.setattr(counts, "_select_auto", counted("auto", morse._select_auto))
+    monkeypatch.setattr(counts, "_auto_selector", counted_selector)
     walked = []
     bits = morse.bits
 
@@ -180,9 +182,9 @@ def test_one_search_for_a_chordal_build_and_its_count(monkeypatch):
     searches = []
     mcs = chordal._mcs_masked
 
-    def counted(adj, mask):
-        searches.append(mask)
-        return mcs(adj, mask)
+    def counted(adj, mask, check=False):
+        searches.append((mask, check))
+        return mcs(adj, mask, check)
 
     for module in (chordal, morse):
         monkeypatch.setattr(module, "_mcs_masked", counted, raising=False)
@@ -190,7 +192,8 @@ def test_one_search_for_a_chordal_build_and_its_count(monkeypatch):
     monkeypatch.setattr(morse, "EXPLICIT_VERTEX_CAP", 40)
     g = standard_graph("path", 40)
     assert build_chordal_matching(g).critical_f == critical_fvector_recursive(g)
-    assert searches == [g.full_mask]
+    # One search, which checks its own order as it goes.
+    assert searches == [(g.full_mask, True)]
 
 
 def test_recursive_counts_match_grid_construction():

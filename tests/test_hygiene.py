@@ -183,17 +183,23 @@ def test_the_homology_oracle_reads_no_gate_cache():
 
 
 def test_one_maximum_cardinality_search_per_graph():
-    # chordal._peo runs the search once per graph and keeps its order; a
-    # driver that called the search itself could run it at every node.
-    callers = {"maximum_cardinality_search": set(), "_mcs_masked": set()}
+    # chordal._peo runs the search once per graph, checking its order as it
+    # goes, and keeps the order; a driver that called the search itself
+    # could run it at every node.  maximum_cardinality_search is the same
+    # search without the check, and verify_peo the standalone checker:
+    # neither runs inside the library.
+    callers = {
+        "maximum_cardinality_search": set(), "_mcs_masked": set(), "verify_peo": set()
+    }
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(node, "name", "<module>")
             for name in set(_called_names(node)) & callers.keys():
                 callers[name].add(f"{path.stem}.{owner}")
     assert callers == {
-        "maximum_cardinality_search": {"chordal._peo"},
-        "_mcs_masked": {"chordal.maximum_cardinality_search"},
+        "maximum_cardinality_search": set(),
+        "_mcs_masked": {"chordal.maximum_cardinality_search", "chordal._peo"},
+        "verify_peo": set(),
     }
 
 

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from indmorse import (
     CapabilityError,
@@ -34,10 +35,17 @@ from indmorse import (
     verify_matching,
 )
 from indmorse.cli import main
-from indmorse.morse import _grid_selector
+from indmorse.morse import _auto_selector, _grid_selector, _recurse
 
-from oracles import grid_rectangle_trace, universal_vertices
+from oracles import (
+    grid_rectangle_trace,
+    induced_delete,
+    is_simplicial,
+    universal_vertices,
+)
+from test_counts import TWO_BAD_CHILDREN
 from test_generators import small_specs
+from test_graph_core import graphs
 from test_homotopy import subtree_intersection_graph
 
 GRID11 = grid_graph(GridSpec.of(1, 1, [[1, 1], [1, 1]]))
@@ -309,6 +317,70 @@ def test_build_auto_examples():
     assert err.value.vertices == (0, 1, 2, 3)
     with pytest.raises(UnsupportedGraphError):
         build_auto(standard_graph("cycle", 5))
+
+
+def _selections_checked_by_the_oracle(g: Graph) -> list[int]:
+    """Run the recursion on ``_auto_selector(g)`` with every selection
+    checked against the smallest vertex that the oracle's ``is_simplicial``
+    accepts on G[mask]; return the masks in the order selected."""
+    select = _auto_selector(g)
+    seen = []
+
+    def checked(g, mask):
+        seen.append(mask)
+        h, ids = induced_delete(g, g.full_mask & ~mask)
+        want = next((ids[w] for w in range(h.n) if is_simplicial(h, w)), None)
+        if want is not None:
+            assert select(g, mask) == want, sorted(bits(mask))
+            return want
+        with pytest.raises(UnsupportedGraphError) as got:
+            select(g, mask)
+        assert str(got.value) == (
+            f"no simplicial vertex in the induced subgraph on {sorted(bits(mask))}"
+        )
+        assert got.value.vertices == tuple(bits(mask))
+        raise got.value
+
+    try:
+        _recurse(g, checked, lambda g, mask, v, children: v)
+    except UnsupportedGraphError:
+        pass
+    return seen
+
+
+# Vertex 0 fails at the top, where 3 is selected; in the child under
+# neighbor 4 its witness 2 is gone and 0 is the smallest simplicial vertex.
+WITNESS_LOST = Graph.from_edges(
+    7, [(0, 1), (0, 2), (1, 5), (2, 6), (3, 4), (4, 2)]
+)
+
+
+@settings(deadline=None)
+@given(graphs(11))
+@example(WITNESS_LOST)
+@example(TWO_BAD_CHILDREN)
+@example(standard_graph("cycle", 6))
+def test_auto_selector_is_the_smallest_simplicial_vertex_at_every_node(g):
+    # The selector keeps each rejected vertex's witness pair across nodes;
+    # it must still select what a fresh scan would.
+    if g.n:
+        assert _selections_checked_by_the_oracle(g)
+
+
+def test_auto_selector_on_grids_with_twins():
+    # Each cell of a grid graph is a class of true twins, which the
+    # selector's test skips.
+    specs = [
+        GridSpec.of(1, 1, [[1, 2], [2, 1]]),
+        GridSpec.of(2, 2, [[1, 2, 1], [3, 1, 2], [1, 2, 2]]),
+        GridSpec.of(2, 3, [[2] * 4, [1, 3, 1, 2], [2, 1, 1, 3]]),
+        GridSpec.of(3, 3, [[2] * 4] * 4),
+    ]
+    for spec in specs:
+        g = grid_graph(spec)
+        assert _selections_checked_by_the_oracle(g), spec
+    # The first bad subgraph of TWO_BAD_CHILDREN is the one under neighbor 1.
+    assert _selections_checked_by_the_oracle(TWO_BAD_CHILDREN)[-1] == 0b1111000
 
 
 def test_vertex_cap_on_builders():
