@@ -305,6 +305,10 @@ def cmd_match(args) -> int:
         "driver": result.driver,
     }
     if args.pairs:
+        # Every face but the critical ones is in a pair.
+        _capped_complex(
+            g, VERIFY_FACE_CAP, f"match --pairs is limited to {VERIFY_FACE_CAP} faces"
+        )
         out["pairs"] = _pairs_json(result.pairs)
     if args.dot is not None:
         _write_dot(g, result, args.dot)

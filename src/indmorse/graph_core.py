@@ -11,10 +11,10 @@ from itertools import combinations
 from operator import lshift
 from typing import Iterator
 
-# Explicit complexes and pair lists grow exponentially in the vertex count;
-# this cap keeps building the complex or reading a result's pairs in memory.
-# The recursion tree itself stays small.  Count-only code paths are not
-# subject to it.
+# Explicit complexes and pair lists grow exponentially in the vertex count:
+# under this cap they can still reach 2^32 faces, so the CLI's face caps keep
+# building a complex or reading a result's pairs in memory.  The recursion
+# tree itself stays small.  Count-only code paths are not subject to it.
 EXPLICIT_VERTEX_CAP = 32
 # Domination number is found by exhaustive subset search.
 DOMINATION_VERTEX_CAP = 24

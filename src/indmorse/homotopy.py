@@ -1,12 +1,14 @@
 """Homotopy-type classification from the shape of a gradient field.
 
-classify verifies a matching on a complex and tries three sufficient
-conditions in order; each one pins the complex down as collapsible or as a
-wedge of spheres with one sphere per critical simplex of positive
-dimension.  When none applies the result is honestly Unclassified rather
-than a guess.  classify_tree needs no complex: the certificate of a build
-proves that every critical cell but one 0-simplex is maximal, so the first
-condition holds and the type follows from the certified critical counts.
+A complex with an acyclic matching whose critical simplices are all
+maximal, but for at most one 0-simplex, is collapsible or a wedge of
+spheres with one sphere per critical simplex of positive dimension
+(homotopy_from_counts).  classify verifies a matching on a complex and
+applies that rule; when it does not hold the result is honestly
+Unclassified rather than a guess.  Every build meets it: the certificate of
+a build proves every critical cell but the special 0-simplex maximal, so
+classify_tree needs no complex and reads the type off the certified
+critical counts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from .complexes import SimplicialComplex, is_maximal
 from .graph_core import Graph, domination_number
 from .homology import HomologyProfile
-from .matching import _pair_maps, _vpath_reachable, check_field
+from .matching import check_field
 from .morse import ConstructionResult, _trim, certify_tree
 
 
@@ -40,10 +42,6 @@ class HomotopyType:
             raise ValueError("a wedge needs at least one sphere")
 
 
-def _wedge(counts: list[int]) -> HomotopyType:
-    return HomotopyType("wedge", _trim(counts))
-
-
 def homotopy_from_counts(fvec: tuple[int, ...]) -> HomotopyType:
     """The type of a complex whose acyclic matching has critical f-vector
     fvec and only maximal critical simplices, but for at most one 0-simplex:
@@ -54,21 +52,20 @@ def homotopy_from_counts(fvec: tuple[int, ...]) -> HomotopyType:
         raise ValueError("a nonempty complex has at least one critical simplex")
     if total == 1:
         return HomotopyType("collapsible")
-    return _wedge([fvec[0] - 1] + list(fvec[1:]))
+    return HomotopyType("wedge", _trim([fvec[0] - 1] + list(fvec[1:])))
 
 
 _UNCLASSIFIED = HomotopyType(
     "unclassified",
-    reason=(
-        "several critical simplices are non-maximal and the descending "
-        "path test failed"
-    ),
+    reason="a critical simplex other than one 0-simplex is non-maximal",
 )
 
 
 def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     """Classify the homotopy type read off an acyclic matching on x,
-    verifying the matching on x first."""
+    verifying the matching on x first: homotopy_from_counts when every
+    critical simplex but at most one 0-simplex is maximal, else
+    unclassified."""
     cert = check_field(x, result.pairs)
     if cert.error is not None:
         raise ValueError("pairs do not form a matching on this complex")
@@ -83,20 +80,6 @@ def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
         len(non_maximal) == 1 and non_maximal[0].bit_count() == 1
     ):
         return homotopy_from_counts(fvec)
-    if len(fvec) >= 2 and fvec[0] == 1 and all(c == 0 for c in fvec[1:-1]):
-        return _wedge([0] * (len(fvec) - 1) + [fvec[-1]])
-    if fvec[0] != 1:
-        return _UNCLASSIFIED
-    # Every higher critical cell reaches no critical cell but itself and the
-    # one 0-simplex along generalized paths.
-    zero = next(s for s in critical if s.bit_count() == 1)
-    up, _ = _pair_maps(result.pairs)
-    if all(
-        _vpath_reachable(up, critical, s) <= {s, zero}
-        for s in critical
-        if s.bit_count() >= 2
-    ):
-        return _wedge([0] + list(fvec[1:]))
     return _UNCLASSIFIED
 
 

@@ -220,14 +220,6 @@ def generalized_vpath_reachable(
     if start not in crit:
         raise ValueError("start simplex is not critical")
     up, _ = _pair_maps(pairs)
-    return _vpath_reachable(up, crit, start)
-
-
-def _vpath_reachable(
-    up: dict[int, int], crit: frozenset[int], start: int
-) -> frozenset[int]:
-    """The search of generalized_vpath_reachable on an already validated
-    field, given its upward pair map and critical set."""
     reached: set[int] = set()
     seen_states: set[tuple[int, int]] = set()
     stack: list[tuple[int, int]] = [(start, -1)]

@@ -356,6 +356,25 @@ def test_match_dot_cap_is_checked_before_the_complex(capsys, tmp_path):
     assert peak < 4 * 2**20, peak
 
 
+def test_match_pairs_cap_is_checked_before_the_pairs(capsys, tmp_path):
+    # K_2 joined to 25 independent vertices: its build is small, but I(G)
+    # has 2^25 + 2 faces; only the first 500,001 are counted.
+    n = 27
+    edges = [[0, 1]] + [[a, v] for a in (0, 1) for v in range(2, n)]
+    g = write_graph(tmp_path, "book25.json", n, edges)
+    tracemalloc.start()
+    try:
+        result = run(capsys, "match", g, "--pairs")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", "error: match --pairs is limited to 500000 faces\n")
+    assert peak < 32 * 2**20, peak
+    code, data, _ = run_json(capsys, "match", g)
+    # I(G) is a 24-simplex and two points.
+    assert code == 0 and data["critical_f"] == [3]
+
+
 # ── homology / compare ───────────────────────────────────────
 
 def test_homology_cycle5(capsys, tmp_path):

@@ -1,10 +1,10 @@
-"""Homotopy-type classification, its three branches, and the oracle checks."""
+"""Homotopy-type classification, its one rule, and the oracle checks."""
 
 import random
 
 import pytest
 
-from indmorse import homotopy, matching, morse
+from indmorse import matching, morse
 from indmorse import (
     ConstructionResult,
     Graph,
@@ -101,7 +101,8 @@ def test_classify_rejects_inconsistent_results():
 def test_classify_single_dimension_branch():
     # Filled triangle 012 with a free path 1-3-2 glued on: a circle.  The
     # matching leaves {0} and the inner edge {1,2} critical, both
-    # non-maximal, so the maximality branch cannot apply.
+    # non-maximal, so the one rule does not apply.  Its critical cells sit
+    # in one positive dimension, but classify names no type from that.
     x = closure_complex(4, [0b0111, 0b1010, 0b1100])
     pairs = [
         (0b0010, 0b0011),
@@ -112,14 +113,18 @@ def test_classify_single_dimension_branch():
     res = manual_result(pairs, [0b0001, 0b0110])
     assert verify_matching(x, pairs) and verify_acyclic(x, pairs)
     h = classify(x, res)
-    assert h == HomotopyType("wedge", (0, 1))
+    assert h.kind == "unclassified" and h.reason
+    prof = homology_integer(x)
+    assert prof.betti == (1, 1, 0)
+    assert not consistency_with_homology(h, prof)
 
 
 def test_classify_descending_path_branch(monkeypatch):
     # A 2-sphere with a solid flap (vertices 0..4) wedged at vertex 0 with
     # a filled-triangle circle (vertices 0,5,6,7).  Critical cells sit in
     # dimensions 0, 1 and 2 and all of the higher ones are non-maximal, so
-    # only the generalized-path criterion can classify this complex.
+    # the one rule does not apply: classify leaves it unclassified, though
+    # generalized paths would show it a wedge of a circle and a 2-sphere.
     facets = [0b00010111, 0b00001011, 0b00001101, 0b00001110, 0b01100001,
               0b10100000, 0b11000000]
     x = closure_complex(8, facets)
@@ -142,7 +147,7 @@ def test_classify_descending_path_branch(monkeypatch):
     critical = [0b00000001, 0b01100000, 0b00000111]
     res = manual_result(pairs, critical)
     assert verify_matching(x, pairs) and verify_acyclic(x, pairs)
-    # The field is validated once; the path test reuses that certificate.
+    # The field is validated once.
     checks = []
     check_matching = matching.check_matching
 
@@ -154,15 +159,15 @@ def test_classify_descending_path_branch(monkeypatch):
     h = classify(x, res)
     monkeypatch.undo()
     assert len(checks) == 1
-    assert h == HomotopyType("wedge", (0, 1, 1))
+    assert h.kind == "unclassified" and h.reason
     prof = homology_integer(x)
     assert prof.betti == (1, 1, 1, 0)
-    assert consistency_with_homology(h, prof)
+    assert not consistency_with_homology(h, prof)
 
 
 def test_classify_unclassified_case():
     # Two disjoint edges with both inner vertices critical: two non-maximal
-    # critical 0-simplices defeat all three branches.
+    # critical 0-simplices defeat the one rule.
     x = closure_complex(4, [0b0101, 0b1010])
     pairs = [(0b0001, 0b0101), (0b0010, 0b1010)]
     res = manual_result(pairs, [0b0100, 0b1000])
@@ -351,28 +356,14 @@ def test_classify_tree_rejects_an_x_u_other_than_the_special_zero(monkeypatch):
     # With x_u the largest critical 0-simplex instead of the child's special
     # one, the tree meets every other hypothesis of the extension theorem,
     # but lifted non-maximal cells survive.  The certificate names the x_u
-    # hypothesis; classify on the complex reaches tests 2 and 3.
+    # hypothesis; classify on the complex finds those cells non-maximal.
     monkeypatch.setattr(
         morse, "_choose_xu",
         lambda child: max(s for s in child.critical_set if s.bit_count() == 1),
     )
-    reachable = homotopy._vpath_reachable
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return reachable(*args)
-
-    monkeypatch.setattr(homotopy, "_vpath_reachable", counted)
-    for seed, path_test, kind in (
-        (74, False, "unclassified"),
-        (108, True, "wedge"),
-        (213, True, "unclassified"),
-    ):
+    for seed in (74, 108, 213):
         g = random_chordal(6 + seed % 7, 0.5 + (seed % 5) / 10, seed)
         res = build_auto(g)
         with pytest.raises(ValueError, match="is not the special 0-simplex of child"):
             classify_tree(g, res)
-        calls.clear()
-        assert classify(independence_complex(g), res).kind == kind, seed
-        assert bool(calls) == path_test, seed
+        assert classify(independence_complex(g), res).kind == "unclassified", seed

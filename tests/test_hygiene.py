@@ -1,7 +1,10 @@
 """Source hygiene: every private top-level function of the package is used,
-and README states the package's line count and the value of every cap."""
+README states the package's line count and the value of every cap, and
+every function the benchmark traces exists."""
 
 import ast
+import importlib
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -39,6 +42,29 @@ def test_every_private_function_is_referenced():
             if used[name] == own:
                 unused.append(f"{filename}:{node.lineno} {name}")
     assert not unused, f"private functions never referenced in src/: {unused}"
+
+
+def test_every_traced_function_is_in_src():
+    # bench/spans.py wraps each (module, name) of its LAYERS by name; one
+    # that no longer resolves would fail the benchmark run, not the tests.
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "bench" / "spans.py").read_text(encoding="utf-8"))
+    (layers,) = (
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    keys = [ast.literal_eval(key) for key in layers.keys]
+    assert len(keys) >= 10, keys
+    missing = []
+    for module, name in keys:
+        fn = getattr(importlib.import_module(module), name, None)
+        if not (
+            inspect.isfunction(fn)
+            and Path(inspect.getsourcefile(fn)).resolve().parent == SRC
+        ):
+            missing.append(f"{module}.{name}")
+    assert not missing, f"bench/spans.py traces functions missing from src/: {missing}"
 
 
 def test_readme_states_the_src_line_count():
