@@ -4,7 +4,10 @@ simplices, and generalized alternating paths.
 A matching is a collection of Hasse-edge pairs (alpha, beta) with
 dim(beta) = dim(alpha) + 1; the empty simplex may appear as an alpha.  A
 nonempty simplex is critical when it is unpaired or paired with the empty
-simplex.
+simplex.  The matching is acyclic iff its step digraph is, where a step
+goes from a matched alpha to another matched facet of its partner; one
+Kahn peel over all matched simplices decides that and leaves any cycle's
+witness behind.
 
 Every check reads check_field's certificate.  For a tuple of tuples, as a
 ConstructionResult's pairs always are, it is kept in the complex's instance
@@ -24,15 +27,6 @@ from .complexes import SimplicialComplex
 from .graph_core import bits
 
 Pair = tuple[int, int]
-
-
-def _pair_maps(pairs: Iterable[Pair]) -> tuple[dict[int, int], dict[int, int]]:
-    up: dict[int, int] = {}
-    down: dict[int, int] = {}
-    for a, b in pairs:
-        up[a] = b
-        down[b] = a
-    return up, down
 
 
 def check_matching(x: SimplicialComplex, pairs: Sequence[Pair]):
@@ -61,63 +55,45 @@ def verify_matching(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
 
 
 def _alternating_cycle(up: dict[int, int]) -> tuple[int, ...] | None:
-    """Layered cycle search on the upward pair map; None when acyclic.
+    """Kahn's peel of the step digraph on the upward pair map; None when
+    acyclic.
 
-    Reversed-edge cycles can only alternate between two consecutive
-    dimensions, so each (d, d+1) layer is checked independently.  A reported
-    cycle is the alternating simplex sequence [a0, b0, a1, ..., a0].
+    A step goes from a matched simplex a to every other matched facet of
+    up[a], so steps keep the dimension, and the matching is acyclic iff its
+    step digraph is (Chari 2000).  The peel drops every simplex with no step
+    to one still present until nothing drops; each simplex left has a step
+    to another, so a walk from the smallest repeats one.  The loop from that
+    repeat is reported as the alternating simplex sequence [a0, b0, a1, ...,
+    a0].
     """
-    by_layer: dict[int, list[int]] = {}
-    for a in up:
-        by_layer.setdefault(a.bit_count(), []).append(a)
-    for layer in sorted(by_layer):
-        members = by_layer[layer]
-        succ: dict[int, list[int]] = {}
-        for a in members:
-            b = up[a]
-            nxt = []
-            rest = b
-            while rest:
-                low = rest & -rest
-                a2 = b ^ low
-                if a2 != a and a2 in up:
-                    nxt.append(a2)
-                rest ^= low
-            succ[a] = nxt
-        # Iterative DFS with colors; a gray-to-gray edge closes a cycle.
-        color: dict[int, int] = {}
-        parent: dict[int, int] = {}
-        for start in members:
-            if color.get(start):
-                continue
-            stack = [(start, iter(succ[start]))]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for a2 in it:
-                    if color.get(a2) == 1:
-                        cycle = [a2]
-                        cur = node
-                        while cur != a2:
-                            cycle.append(cur)
-                            cur = parent[cur]
-                        cycle.append(a2)
-                        cycle.reverse()
-                        out = []
-                        for a in cycle:
-                            out.extend((a, up[a]))
-                        return tuple(out[: 2 * len(cycle) - 1])
-                    if color.get(a2) is None:
-                        color[a2] = 1
-                        parent[a2] = node
-                        stack.append((a2, iter(succ[a2])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-    return None
+    preds: dict[int, list[int]] = {a: [] for a in up}
+    out = dict.fromkeys(up, 0)
+    for a, b in up.items():
+        # The facets of b other than a: b less one vertex of a.
+        rest = a
+        while rest:
+            low = rest & -rest
+            if b ^ low in up:
+                preds[b ^ low].append(a)
+                out[a] += 1
+            rest ^= low
+    dropped = [a for a, k in out.items() if not k]
+    for a in dropped:
+        for p in preds[a]:
+            out[p] -= 1
+            if not out[p]:
+                dropped.append(p)
+    left = up.keys() - dropped
+    if not left:
+        return None
+    walk: dict[int, int] = {}
+    a = min(left)
+    while a not in walk:
+        walk[a] = len(walk)
+        b = up[a]
+        a = next(b ^ (1 << v) for v in bits(a) if b ^ (1 << v) in left)
+    loop = list(walk)[walk[a]:]
+    return tuple(s for c in loop for s in (c, up[c])) + (a,)
 
 
 def verify_acyclic(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
@@ -163,18 +139,19 @@ class FieldCertificate:
 def check_field(x: SimplicialComplex, pairs: Sequence[Pair]) -> FieldCertificate:
     """Validate a gradient field once: matching, acyclicity, critical data.
 
-    Runs check_matching and, on a valid matching, builds the pair maps once
-    for the cycle search and the critical simplices.  A tuple of tuples
-    gets its certificate kept on x (see the module docstring).
+    Runs check_matching and, on a valid matching, builds the upward pair
+    map once for the cycle search; the critical simplices are one set
+    difference.  A tuple of tuples gets its certificate kept on x (see the
+    module docstring).
     """
     held = x.__dict__.get("_field_certificate")
     if held is not None and held[0] is pairs:
         return held[1]
     ok, message = check_matching(x, pairs)
     if ok:
-        up, down = _pair_maps(pairs)
+        up = dict(pairs)
         # Unpaired, or paired with the empty simplex.
-        crit = frozenset(s for s in x.faces if s and s not in up and not down.get(s, 0))
+        crit = x.faces.difference(up, (b for a, b in pairs if a), (0,))
         cert = FieldCertificate(
             None, _alternating_cycle(up), crit, critical_fvector_of(crit)
         )
@@ -219,7 +196,7 @@ def generalized_vpath_reachable(
     crit, _ = critical_simplices(x, pairs)
     if start not in crit:
         raise ValueError("start simplex is not critical")
-    up, _ = _pair_maps(pairs)
+    up = dict(pairs)
     reached: set[int] = set()
     seen_states: set[tuple[int, int]] = set()
     stack: list[tuple[int, int]] = [(start, -1)]

@@ -424,6 +424,22 @@ def acyclic_by_reachability(x: SimplicialComplex, pairs) -> bool:
     return True
 
 
+def is_alternating_cycle(cycle, pairs) -> bool:
+    """Whether cycle is a closed alternating path (a0, b0, a1, ..., a0) of
+    pairs with no repeated a: each (a, b) is one of the pairs, and the next
+    a is another matched facet of b."""
+    up = dict(pairs)
+    if len(cycle) < 5 or len(cycle) % 2 == 0 or cycle[0] != cycle[-1]:
+        return False
+    if len(set(cycle[:-1:2])) != len(cycle) // 2:
+        return False
+    for k in range(0, len(cycle) - 1, 2):
+        a, b, nxt = cycle[k : k + 3]
+        if up.get(a) != b or nxt == a or nxt & ~b or (b ^ nxt).bit_count() != 1:
+            return False
+    return True
+
+
 def is_maximal_scan(x: SimplicialComplex, sigma: int) -> bool:
     """Maximality by trying every vertex: sigma is maximal iff no sigma + w
     is a face (downward closure makes any larger coface yield one)."""

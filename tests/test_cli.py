@@ -35,6 +35,7 @@ from indmorse import (
     standard_graph,
 )
 from indmorse.cli import main
+from oracles import is_alternating_cycle
 from test_generators import small_specs
 from test_graph_core import edge_list_json, graphs
 from test_homotopy import random_non_chordal
@@ -275,15 +276,24 @@ def test_verify_shared_simplex_fails(capsys, tmp_path):
 
 
 def test_verify_cyclic_triangle_field_fails(capsys, tmp_path):
-    g = write_graph(tmp_path, "e3.json", 3, [])
-    m = tmp_path / "m.json"
-    pairs = [[[0], [0, 1]], [[1], [1, 2]], [[2], [0, 2]]]
-    m.write_text(json.dumps(pairs), encoding="utf-8")
-    code, data, _ = run_json(capsys, "verify", g, str(m))
-    assert code == 1
-    assert data["ok"] is False
-    assert data["error"] == "matching has a directed cycle"
-    assert len(data["cycle"]) >= 3
+    # The triangle's rim carries a cyclic field; the second file adds a
+    # tail {0} -> {1} into the rim on {1, 2, 3}.
+    rim = [[[0], [0, 1]], [[1], [1, 2]], [[2], [0, 2]]]
+    tail = [[[1], [1, 2]], [[2], [2, 3]], [[3], [1, 3]], [[0], [0, 1]]]
+    for n, pairs in ((3, rim), (4, tail)):
+        g = write_graph(tmp_path, f"e{n}.json", n, [])
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(pairs), encoding="utf-8")
+        code, data, _ = run_json(capsys, "verify", g, str(m))
+        assert code == 1
+        assert data["ok"] is False
+        assert data["error"] == "matching has a directed cycle"
+        cycle = [_mask(vs) for vs in data["cycle"]]
+        assert is_alternating_cycle(cycle, [(_mask(a), _mask(b)) for a, b in pairs])
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def test_verify_bad_vertex_in_pair(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Matching validity, acyclicity, critical simplices, generalized paths."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -28,7 +29,8 @@ from indmorse import (
     verify_matching,
     Graph,
 )
-from oracles import acyclic_by_reachability, closure_complex
+from oracles import acyclic_by_reachability, closure_complex, is_alternating_cycle
+from test_chordal import _python_lines
 from test_homotopy import subtree_intersection_graph
 
 P3 = standard_graph("path", 3)
@@ -66,14 +68,35 @@ def test_triangle_rim_cyclic_field_is_rejected():
 def test_check_field_reports_a_genuine_alternating_cycle():
     cert = check_field(TRIANGLE_RIM, CYCLIC_FIELD)
     assert not cert.ok and cert.error is None
-    cycle = cert.cycle
-    assert len(cycle) % 2 == 1 and cycle[0] == cycle[-1]
-    up = dict(CYCLIC_FIELD)
-    for k in range(0, len(cycle) - 1, 2):
-        a, b = cycle[k], cycle[k + 1]
-        assert up[a] == b
-        nxt = cycle[k + 2]
-        assert nxt != a and nxt & ~b == 0 and (b ^ nxt).bit_count() == 1
+    assert is_alternating_cycle(cert.cycle, CYCLIC_FIELD)
+
+
+def test_the_witness_drops_a_tail_into_the_cycle():
+    # The rim on {1, 2, 3} carries the cyclic field; {0} steps into it
+    # through {0, 1} and is the smallest matched simplex, so a walk from it
+    # enters the cycle from outside.
+    x = closure_complex(4, [0b0011, 0b0110, 0b1100, 0b1010])
+    pairs = [(0b0001, 0b0011), (0b0010, 0b0110), (0b0100, 0b1100), (0b1000, 0b1010)]
+    assert not acyclic_by_reachability(x, pairs)
+    assert is_alternating_cycle(check_field(x, pairs).cycle, pairs)
+
+
+def test_the_peel_stays_linear_on_a_long_chain():
+    # Counted, not timed.  The chain's steps go {i} -> {i + 1}, so a peel
+    # that rescans every cell until nothing drops drops one cell a round:
+    # quadratic.  Closing the chain into a cycle leaves every cell to the
+    # walk, which a scan of the walk at each step would make quadratic.
+    k = 2000
+    for closed in (False, True):
+        n = k if closed else k + 1
+        pairs = [(1 << i, 1 << i | 1 << (i + 1) % n) for i in range(k)]
+        faces = [0] + [1 << v for v in range(n)] + [b for _, b in pairs]
+        x = SimplicialComplex(n, frozenset(faces))
+        assert verify_acyclic(x, pairs) != closed
+        # k matched cells and k - 1 or k steps.
+        budget = 20 * (k + k)
+        lines = _python_lines(partial(matching._alternating_cycle, dict(pairs)), budget)
+        assert 0 < lines <= budget, closed
 
 
 def test_verify_acyclic_rejects_invalid_matchings():
@@ -166,6 +189,8 @@ def test_acyclicity_agrees_with_reachability_oracle():
             assert cert.ok == got and cert.error is None
             if got:
                 assert (cert.critical, cert.critical_f) == critical_simplices(x, pairs)
+            else:
+                assert is_alternating_cycle(cert.cycle, pairs)
             seen_cyclic += not got
             seen_acyclic += got
     assert seen_cyclic and seen_acyclic
