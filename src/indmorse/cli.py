@@ -66,10 +66,13 @@ VERIFY_FACE_CAP = 500_000
 # ─────────────────────────────────────────────────────────────
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("malformed JSON: nested too deeply") from None
 
 
 def _load_graph(path: str) -> Graph:

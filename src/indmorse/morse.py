@@ -21,9 +21,10 @@ graphs), or the smallest simplicial vertex (generic, keeping witnesses).
 
 A node of the recursion tree stores its critical counts, assembled from its
 children's by the same rule the count route uses (``_assemble_counts``), and
-its recipe: v, its mask and, per child, (u, child node, x_u).  Its critical
-set and its pairs are derived from the recipe on first read and then kept,
-so a build whose caller reads only the counts enumerates no cell.  The tree
+its recipe: v, its mask and, per child, (u, child node, x_u).  Its special
+0-simplex {v}, critical set and pairs are derived from the recipe on first
+read and then kept, so a build whose caller reads only the counts
+enumerates no cell, and a node equals only itself.  The tree
 is also the certificate: certify_tree walks the recipes from the root and
 checks the extension theorem's hypotheses at each node, which also prove
 every critical cell but the root's {v} maximal.  A ``trace`` dict, when a
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, zip_longest
 from operator import or_
 from typing import Mapping
@@ -55,72 +56,48 @@ from .matching import check_field
 Pair = tuple[int, int]
 
 
-class _Derived:
-    """A field of a ConstructionResult that an extension node may leave to
-    its recipe: kept as given, or, when given as None, derived by
-    ``derive(recipe)`` on first read and then kept."""
-
-    def __init__(self, derive, convert):
-        self.derive, self.convert = derive, convert
-
-    def __set_name__(self, owner, name):
-        self.name, self.slot = name, "_" + name
-
-    def __get__(self, node, owner=None):
-        if node is None:
-            raise AttributeError(self.name)  # the field has no default
-        value = node.__dict__[self.slot]
-        if value is None:
-            value = node.__dict__[self.slot] = self.derive(node.recipe)
-        return value
-
-    def __set__(self, node, value):
-        node.__dict__[self.slot] = None if value is None else self.convert(value)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstructionResult:
     """An acyclic matching on I(G) together with its critical data: a node
     of the recursion tree.
 
-    ``special_zero`` is the one critical 0-simplex that may fail to be
-    maximal: the {v} of the outermost extension step, so None only where
-    there is no step (the 0-vertex graph, or a sub-matching given to
-    extend_matching).  certify_tree proves this promise from the recipes.
-    An extension node stores ``critical_f`` and its ``recipe`` (adj, mask,
-    v, ((u, child, x_u), ...)) and is built with pairs and critical_set
-    None; each is derived from the recipe on first read.  A result with no
-    recipe holds both.  repr shows the stored fields and whether each of the
-    two is held, and derives neither; equality and the hash compare both,
-    so they derive them.
+    A node stores what the build computes, its ``critical_f`` and its
+    ``recipe`` (adj, mask, v, ((u, child, x_u), ...)), and derives the rest
+    on first read: ``special_zero`` is {v}, the one critical 0-simplex that
+    may fail to be maximal, and ``pairs`` and ``critical_set`` are read off
+    the recipe.  With no recipe they are None, () and the empty set: the
+    0-vertex graph's node.  A matching given whole (``given``) holds all
+    three and has no recipe.  A result equals only itself, so no comparison
+    or hash derives anything.
     """
 
-    # The derivations are looked up when called, so they may follow here.
-    pairs: tuple[Pair, ...] | None = _Derived(lambda r: _node_pairs(*r), tuple)
-    critical_set: frozenset[int] | None = _Derived(
-        lambda r: _node_critical(*r), frozenset
-    )
     critical_f: tuple[int, ...]
-    special_zero: int | None
     driver: str
-    recipe: tuple | None = field(default=None, repr=False, compare=False)
+    recipe: tuple | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.recipe is None and None in (
-            self.__dict__["_pairs"], self.__dict__["_critical_set"]
-        ):
-            raise ValueError("a result needs its pairs and critical set, or a recipe")
-
-    def __repr__(self) -> str:
-        held = {
-            name: "held" if self.__dict__["_" + name] is not None else "not derived"
-            for name in ("pairs", "critical_set")
-        }
-        return (
-            f"ConstructionResult(critical_f={self.critical_f!r}, "
-            f"special_zero={self.special_zero!r}, driver={self.driver!r}, "
-            f"pairs={held['pairs']}, critical_set={held['critical_set']})"
+    @classmethod
+    def given(cls, pairs, critical_set, critical_f, special_zero, driver):
+        """A result with no recipe holding a whole matching and its critical
+        data, such as a sub-matching for extend_matching."""
+        node = cls(critical_f, driver)
+        node.__dict__.update(
+            pairs=tuple(pairs),
+            critical_set=frozenset(critical_set),
+            special_zero=special_zero,
         )
+        return node
+
+    @cached_property
+    def special_zero(self) -> int | None:
+        return None if self.recipe is None else 1 << self.recipe[2]
+
+    @cached_property
+    def pairs(self) -> tuple[Pair, ...]:
+        return () if self.recipe is None else _node_pairs(*self.recipe)
+
+    @cached_property
+    def critical_set(self) -> frozenset[int]:
+        return frozenset() if self.recipe is None else _node_critical(*self.recipe)
 
 
 def _check_cap(g: Graph) -> None:
@@ -182,8 +159,7 @@ def _scoped_node(
         g, mask, v, {u: child.critical_f for u, child in children.items()}
     )
     steps = tuple((u, child, _choose_xu(child)) for u, child in children.items())
-    recipe = (g.adj, mask, v, steps)
-    return ConstructionResult(None, None, counts, 1 << v, driver, recipe)
+    return ConstructionResult(counts, driver, (g.adj, mask, v, steps))
 
 
 def _node_critical(adj, mask: int, v: int, steps) -> frozenset[int]:
@@ -386,15 +362,14 @@ def _node_fault(g: Graph, mask: int, node: ConstructionResult) -> str | None:
     """The extension theorem's first local hypothesis that fails at one node
     of a tree, reached at ``mask``, or None.  Only the 0-vertex graph's node
     has no recipe, and no critical cell.  A recipe (adj, mask, v, steps) is
-    this node's; v is in the mask and simplicial there; the special
-    0-simplex is {v}; the steps are the u in N(v) & mask with mask - N[u]
-    nonempty, in order; each x_u is a 0-simplex of its child's mask and the
-    child's special 0-simplex; critical_f is the assembly of the children's;
-    and a critical set given with the node is the one the recipe derives."""
+    this node's; v is in the mask and simplicial there; the steps are the u
+    in N(v) & mask with mask - N[u] nonempty, in order; each x_u is a
+    0-simplex of its child's mask and the child's special 0-simplex; and
+    critical_f is the assembly of the children's.  The special 0-simplex
+    {v} and the critical set are derived from the recipe, so they hold."""
     adj = g.adj
-    given = node.__dict__["_critical_set"]
     if node.recipe is None:
-        if mask or node.critical_f or given:
+        if mask or node.critical_f or node.critical_set:
             return "a node with no recipe is not the 0-vertex graph's"
         return None
     node_adj, node_mask, v, steps = node.recipe
@@ -405,8 +380,6 @@ def _node_fault(g: Graph, mask: int, node: ConstructionResult) -> str | None:
     nv = adj[v] & mask
     if any(nv & ~(adj[u] | 1 << u) for u in bits(nv)):
         return "v is not simplicial"
-    if node.special_zero != 1 << v:
-        return "the special 0-simplex is not {v}"
     if [u for u, _, _ in steps] != [u for u in bits(nv) if mask & ~(adj[u] | 1 << u)]:
         return "the steps are not the u in N(v) with mask - N[u] nonempty"
     for u, child, xu in steps:
@@ -419,8 +392,6 @@ def _node_fault(g: Graph, mask: int, node: ConstructionResult) -> str | None:
     child_fs = {u: child.critical_f for u, child, _ in steps}
     if node.critical_f != _assemble_counts(g, mask, v, child_fs):
         return "the critical counts are not the extension's"
-    if given is not None and given != _node_critical(*node.recipe):
-        return "the critical set is not the extension's"
     return None
 
 
@@ -432,9 +403,10 @@ def certify_tree(g: Graph, result: ConstructionResult) -> tuple[int, ...]:
     whose counts are the root's critical_f, and every critical cell but its
     special 0-simplex is maximal: a lift c + u is iff c is in mask - N[u], a
     {u} with no child is, and x_u takes the child's one cell that may not
-    be, its {v}.  Pairs and critical sets derived from the recipes are then
-    the theorem's; pairs given explicitly are left to check_field.  Raises
-    ValueError naming the first node that fails and the hypothesis."""
+    be, its {v}.  The pairs and critical sets the recipes derive are then
+    the theorem's; a result given whole has no recipe and is left to
+    check_field.  Raises ValueError naming the first node that fails and
+    the hypothesis."""
     seen: set[tuple[int, int]] = set()
     stack = [(g.full_mask, result)]
     while stack:
@@ -457,7 +429,7 @@ def _build(g: Graph, select, driver: str, trace) -> ConstructionResult:
     """The recursion tree of a driver's selection; the 0-vertex graph, with
     no vertex to select, gets the one node without a recipe."""
     if g.n == 0:
-        return ConstructionResult((), frozenset(), (), None, driver)
+        return ConstructionResult((), driver)
     return _recurse(g, select, partial(_scoped_node, driver=driver), trace)
 
 

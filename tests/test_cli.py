@@ -859,6 +859,23 @@ def test_pair_vertices_must_be_json_integers(capsys, tmp_path):
         assert err.startswith("error: malformed pair ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000, '{"n": 2, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["open-brackets", "nested-edges"],
+)
+def test_deeply_nested_json_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, text):
+    g = write_graph(tmp_path, "p3.json", 3, [[0, 1], [1, 2]])
+    deep = tmp_path / "deep.json"
+    deep.write_text(text, encoding="utf-8")
+    expected = (2, "", "error: malformed JSON: nested too deeply\n")
+    # A graph file, a matching file, and each read from stdin.
+    for argv in (("analyze", str(deep)), ("verify", g, str(deep)), ("analyze", "-"),
+                 ("verify", g, "-")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, *argv) == expected
+
+
 # ── fuzz ─────────────────────────────────────────────────────
 
 # Malformed or extreme values.  No value is an integer from 8 to 10**19, so

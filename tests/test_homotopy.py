@@ -41,9 +41,9 @@ def manual_result(pairs, critical, driver="auto"):
         while len(counts) <= d:
             counts.append(0)
         counts[d] += 1
-    return ConstructionResult(
-        pairs=tuple(pairs),
-        critical_set=frozenset(critical),
+    return ConstructionResult.given(
+        pairs=pairs,
+        critical_set=critical,
         critical_f=tuple(counts),
         special_zero=None,
         driver=driver,
@@ -84,7 +84,7 @@ def test_classify_rejects_inconsistent_results():
     g = standard_graph("path", 4)
     x = independence_complex(g)
     res = build_chordal_matching(g)
-    tampered = ConstructionResult(
+    tampered = ConstructionResult.given(
         pairs=res.pairs,
         critical_set=frozenset({1}),
         critical_f=(1,),

@@ -1,11 +1,15 @@
 """Source hygiene: every private top-level function of the package is used,
-README states the package's line count and the value of every cap, and
-every function the benchmark traces exists."""
+README states the package's line count and the value of every cap, every
+function the benchmark traces exists, and the benchmark's own code runs a
+few instances of each workload."""
 
 import ast
 import importlib
 import inspect
+import json
+import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -259,3 +263,33 @@ def test_one_mirror_of_upper_rows():
                 setters.add(name)
     assert callers == {"graph_core.Graph.__post_init__", "graph_core.graph_from_json"}
     assert setters == {"Graph.from_edges", "_mirrored"}
+
+
+def test_benchmark_workloads_run_on_a_few_instances(tmp_path, monkeypatch):
+    # bench/ reads the results' attributes and the builds' trace= through its
+    # own code; a change to either would otherwise fail the benchmark run,
+    # not the tests.  The modules are imported as bench/run.py imports them,
+    # and nothing is written under bench/.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    for name, workload in workloads.WORKLOADS.items():
+        planned = workload.plan(random.Random(f"{name}-12345"))
+        instances = planned[:3] + planned[-2:]
+        for inst in instances:
+            inst.graph = inst.make()
+        workloads.fill_expected(workload, instances)
+        rec = spans.Recorder()
+        with spans.instrument(rec, count=True):
+            for i, inst in enumerate(instances):
+                if workload.uses_cli:
+                    graph_path, out_path = tmp_path / f"{name}-{i}.json", tmp_path / "out.json"
+                    graph_path.write_text(json.dumps(indmorse.graph_to_json(inst.graph)))
+                    assert workloads.run_cli(inst, graph_path, out_path) == 0, inst.name
+                    problems = workloads.check_cli(inst, workloads.read_report(out_path))
+                else:
+                    problems = workloads.check_corpus(workloads.run_corpus(inst))
+                assert problems == [], (name, inst.name, problems)
+        if name in ("corpus", "explicit_large"):
+            assert rec.snapshot()["morse.nodes"] > 0, name

@@ -272,7 +272,7 @@ def test_kept_certificate_answers_only_its_own_tuple(monkeypatch):
     assert calls["check_matching"] == 2 * (1 + 3 + 3 + 1 + 1)
     crit, _ = critical_simplices(x, variants[3])
     assert crit == res.critical_set | {a, b}
-    dropped = ConstructionResult(
+    dropped = ConstructionResult.given(
         pairs=variants[3],
         critical_set=crit,
         critical_f=critical_fvector_of(crit),

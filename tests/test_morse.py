@@ -7,6 +7,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indmorse import (
     CapabilityError,
@@ -24,6 +25,7 @@ from indmorse import (
     critical_simplices,
     grid_graph,
     independence_complex,
+    is_chordal,
     is_maximal,
     extend_matching,
     graph_to_json,
@@ -133,7 +135,7 @@ def test_extend_matching_p3():
 
 def test_extend_matching_p5():
     g = standard_graph("path", 5)
-    sub = ConstructionResult(
+    sub = ConstructionResult.given(
         pairs=(),
         critical_set=frozenset({0b01000, 0b10000}),
         critical_f=(2,),
@@ -164,7 +166,7 @@ def test_extend_matching_rejects_bad_vertices():
 
 def test_extend_matching_rejects_bad_sub_matchings():
     p5 = standard_graph("path", 5)
-    shared = ConstructionResult(
+    shared = ConstructionResult.given(
         pairs=((0b01000, 0b11000), (0b10000, 0b11000)),
         critical_set=frozenset(),
         critical_f=(),
@@ -173,7 +175,7 @@ def test_extend_matching_rejects_bad_sub_matchings():
     )
     with pytest.raises(ValueError):
         extend_matching(p5, 0, {1: shared})
-    outside = ConstructionResult(
+    outside = ConstructionResult.given(
         pairs=((0b00100, 0b01100),),
         critical_set=frozenset({0b10000}),
         critical_f=(1,),
@@ -183,7 +185,7 @@ def test_extend_matching_rejects_bad_sub_matchings():
     with pytest.raises(ValueError):
         extend_matching(p5, 0, {1: outside})
     # With no pair, both {3} and {4} are critical in I(G - N[1]).
-    own = ConstructionResult(
+    own = ConstructionResult.given(
         pairs=(),
         critical_set=frozenset({0b01000, 0b10000}),
         critical_f=(2,),
@@ -191,20 +193,21 @@ def test_extend_matching_rejects_bad_sub_matchings():
         driver="auto",
     )
     assert extend_matching(p5, 0, {1: own}).critical_f == (1, 1)
-    for bad in (
+    for critical_set, critical_f, special_zero in (
         # Valid pairs whose critical data is not theirs: understated, a
         # wrong set with the right f-vector, the right set with a wrong one.
-        dataclasses.replace(own, critical_set=frozenset({0b01000}), critical_f=(1,)),
-        dataclasses.replace(own, critical_set=frozenset({0b01000, 0b00100})),
-        dataclasses.replace(own, critical_f=(1,)),
+        ({0b01000}, (1,), None),
+        ({0b01000, 0b00100}, (2,), None),
+        ({0b01000, 0b10000}, (1,), None),
         # {2} is no cell of I(G - N[1]), so it cannot be the special 0-simplex.
-        dataclasses.replace(own, special_zero=0b00100),
+        ({0b01000, 0b10000}, (2,), 0b00100),
     ):
+        bad = ConstructionResult.given((), critical_set, critical_f, special_zero, "auto")
         with pytest.raises(ValueError, match="sub-matching for neighbor 1 is invalid"):
             extend_matching(p5, 0, {1: bad})
     # On P6, {3, 5} is a critical cell of I(G - N[1]) but no 0-simplex.
     cells = frozenset({0b001000, 0b010000, 0b100000, 0b101000})
-    edge = ConstructionResult(
+    edge = ConstructionResult.given(
         pairs=(), critical_set=cells, critical_f=(3, 1), special_zero=0b101000,
         driver="auto",
     )
@@ -467,20 +470,72 @@ def test_repr_reads_stored_fields_only():
     # A failed `assert res == ...` prints both sides; printing a cone of
     # 38,880 faces must not derive its pairs.
     res = build_auto(random_chordal(18, 0.35, 3))
-    text = repr(res)
-    assert res.__dict__["_pairs"] is None
-    assert res.__dict__["_critical_set"] is None
-    assert text == (
-        "ConstructionResult(critical_f=(1,), special_zero=1, driver='auto', "
-        "pairs=not derived, critical_set=not derived)"
-    )
-    res.pairs
-    assert "pairs=held, critical_set=not derived" in repr(res)
-    # Only the 0-vertex graph's result has no recipe, so it holds both.
+    assert repr(res) == "ConstructionResult(critical_f=(1,), driver='auto')"
+    assert "pairs" not in res.__dict__ and "critical_set" not in res.__dict__
+    # The 0-vertex graph's node has no recipe and derives an empty matching.
     empty = build_chordal_matching(standard_graph("empty", 0))
-    assert repr(empty).endswith("pairs=held, critical_set=held)")
-    # Equality still compares the pairs and the critical set.
-    assert res == build_auto(random_chordal(18, 0.35, 3))
+    assert repr(empty) == "ConstructionResult(critical_f=(), driver='chordal')"
+    assert (empty.pairs, empty.critical_set, empty.special_zero) == ((), frozenset(), None)
+
+
+def _derived_fields(res):
+    return res.pairs, res.critical_set, res.critical_f, res.special_zero, res.driver
+
+
+GRID_SPECS = list(itertools.islice(small_specs(2, 2, 2), 0, None, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(9), st.sampled_from(GRID_SPECS))
+def test_builds_are_deterministic_and_equal_only_themselves(g, spec):
+    grid = grid_graph(spec)
+    builds = [(grid, lambda g: build_grid_matching(g, spec)), (grid, build_auto)]
+    builds.append((g, build_auto))
+    if is_chordal(g):
+        builds.append((g, build_chordal_matching))
+    for h, build in builds:
+        try:
+            first = build(h)
+        except UnsupportedGraphError:
+            continue
+        second = build(h)
+        assert _derived_fields(first) == _derived_fields(second)
+        # Equality is identity: comparing two builds derives nothing.
+        assert first == first and first != second
+        assert len({first, first}) == 1 and len({first, second}) == 2
+
+
+def test_a_node_cannot_hold_state_its_recipe_contradicts():
+    res = build_auto(P5)
+    with pytest.raises(TypeError):
+        dataclasses.replace(res, special_zero=0b100)
+    with pytest.raises(TypeError):
+        dataclasses.replace(res, critical_set=frozenset({0b1}))
+    for g, build in itertools.islice(_builds_with_every_driver(), 0, None, 11):
+        trace = {}
+        try:
+            build(g, trace=trace)
+        except UnsupportedGraphError:
+            continue
+        for node in (t["result"] for t in trace.values()):
+            repr(node)
+            assert "pairs" not in node.__dict__ and "critical_set" not in node.__dict__
+            assert node.special_zero == 1 << node.recipe[2]
+
+
+def test_a_given_node_inside_a_tree_fails_the_certificate():
+    p7 = build_auto(P7)
+    child = _child(p7, 1)
+    whole = ConstructionResult.given(
+        child.pairs, child.critical_set, child.critical_f, child.special_zero, "auto"
+    )
+    # The root reads only the child's counts and special 0-simplex, which agree.
+    with pytest.raises(ValueError) as exc:
+        certify_tree(P7, _restep(p7, 1, child=whole))
+    assert str(exc.value) == (
+        "extension hypothesis fails at node [3, 4, 5, 6]: "
+        "a node with no recipe is not the 0-vertex graph's"
+    )
 
 
 def test_cross_driver_equality_when_heads_agree():
@@ -624,20 +679,11 @@ def _child(node, u):
     return next(child for w, child, _ in node.recipe[3] if w == u)
 
 
-def _replaced(node, **changes):
-    """``node`` with fields changed; a recipe's pairs and critical set are
-    left underived unless given."""
-    if node.recipe is not None:
-        changes.setdefault("pairs", None)
-        changes.setdefault("critical_set", None)
-    return dataclasses.replace(node, **changes)
-
-
 def _recipe(node, **parts):
     """``node`` with parts of its recipe (v, or the step list) changed."""
     adj, mask, v, steps = node.recipe
     parts = {"v": v, "steps": steps, **parts}
-    return _replaced(node, recipe=(adj, mask, parts["v"], parts["steps"]))
+    return dataclasses.replace(node, recipe=(adj, mask, parts["v"], parts["steps"]))
 
 
 def _restep(node, u, **step):
@@ -647,11 +693,6 @@ def _restep(node, u, **step):
     steps[u] = dict(steps.get(u, {}), **step)
     listed = tuple((w, s["child"], s["xu"]) for w, s in sorted(steps.items()))
     return _recipe(node, steps=listed)
-
-
-def _critical(node, change):
-    """``node`` holding a critical set given as ``change(critical_set)``."""
-    return _replaced(node, critical_set=frozenset(change(node.critical_set)))
 
 
 def test_certificate_accepts_the_builds():
@@ -665,7 +706,7 @@ def test_certificate_accepts_the_builds():
 def test_certificate_checks_the_root_critical_f():
     res = build_auto(P5)
     with pytest.raises(ValueError, match="the critical counts are not the extension's"):
-        certify_tree(P5, _replaced(res, critical_f=(2, 1)))
+        certify_tree(P5, dataclasses.replace(res, critical_f=(2, 1)))
 
 
 def test_certificate_checks_each_node_once(monkeypatch):
@@ -718,9 +759,12 @@ def _tampered_trees():
     yield pytest.param(
         P5, _recipe(p5, v=5), P5.full_mask, "v is not in the mask",
         id="v-outside-the-graph")
+    # A child's special 0-simplex is its {v}, and its parent checks it
+    # against x_u inside the child's mask, so only a root can fail with v
+    # outside its mask; a child fails at its parent.
     yield pytest.param(
-        P7, _restep(p7, 1, child=_recipe(p7_child, v=0)), 0b1111000,
-        "v is not in the mask", id="child-v-outside-its-mask")
+        P7, _restep(p7, 1, child=_recipe(p7_child, v=0)), P7.full_mask,
+        "x_1 is not the special 0-simplex of child 1", id="child-v-outside-its-mask")
     yield pytest.param(
         P7, p7_child, P7.full_mask, "the recipe is not this node's extension step",
         id="root-holds-a-child-recipe")
@@ -748,26 +792,9 @@ def _tampered_trees():
     yield pytest.param(
         TWO_EDGES, _restep(build_auto(TWO_EDGES), 1, xu=0b0001), 0b1111,
         "x_1 is not a critical 0-simplex of child 1", id="x_u-outside-the-child")
+    # x_1 = {3} is a critical 0-simplex of the child, but not its special {2}.
     yield pytest.param(
-        P5, _critical(p5, lambda crit: crit | {0b101}), P5.full_mask,
-        "the critical set is not the extension's", id="extra-critical-cell")
-    # The recipe drops x_1 = {2} and lifts {3} to {1, 3}; the given set
-    # lifts {2} instead, as if x_1 were {3}, and keeps the counts.
-    yield pytest.param(
-        TWO_EDGES,
-        _critical(build_auto(TWO_EDGES), lambda crit: crit - {0b1010} | {0b0110}),
-        0b1111, "the critical set is not the extension's", id="x_u-not-the-dropped-cell")
-    yield pytest.param(
-        P5, _replaced(p5, special_zero=0b100), P5.full_mask,
-        "the special 0-simplex is not {v}", id="special-zero-not-v")
-    # x_1 = {3} replaces the child's special {2}, and the critical set
-    # follows, so only the choice of x_1 is wrong.
-    edge_and_p3 = build_auto(EDGE_AND_P3)
-    yield pytest.param(
-        EDGE_AND_P3,
-        _critical(
-            _restep(edge_and_p3, 1, xu=0b1000), lambda crit: crit - {0b1010} | {0b0110}
-        ),
+        EDGE_AND_P3, _restep(build_auto(EDGE_AND_P3), 1, xu=0b1000),
         EDGE_AND_P3.full_mask, "x_1 is not the special 0-simplex of child 1",
         id="x_u-not-the-special-zero")
     # Only the 0-vertex graph's node has no recipe; a clique's is an
@@ -775,34 +802,25 @@ def _tampered_trees():
     no_recipe = "a node with no recipe is not the 0-vertex graph's"
     singletons = frozenset(1 << w for w in range(5))
     yield pytest.param(
-        P5, _replaced(p5, pairs=(), recipe=None, critical_set=singletons),
+        P5, ConstructionResult.given((), singletons, (5,), None, "auto"),
         P5.full_mask, no_recipe, id="recipe-less-non-clique")
     k3 = standard_graph("complete", 3)
     yield pytest.param(
-        k3, _replaced(build_auto(k3), pairs=(), recipe=None, critical_set={1, 2, 4}),
+        k3, ConstructionResult.given((), {1, 2, 4}, (3,), None, "auto"),
         k3.full_mask, no_recipe, id="recipe-less-clique")
     yield pytest.param(
-        k3, _critical(build_auto(k3), lambda crit: {0b001}), k3.full_mask,
-        "the critical set is not the extension's", id="clique-cells-not-singletons")
-    yield pytest.param(
-        k3, _replaced(build_auto(k3), critical_f=(2,)), k3.full_mask,
+        k3, dataclasses.replace(build_auto(k3), critical_f=(2,)), k3.full_mask,
         "the critical counts are not the extension's", id="clique-counts-not-its-size")
     # The child {3, ..., 6} of P7 has critical_f (1,); the root's (1, 0, 1)
     # is the assembly of (1, 1), so only the child's counts are wrong.
     yield pytest.param(
         P7,
-        _replaced(
-            _restep(p7, 1, child=_replaced(p7_child, critical_f=(1, 1))),
+        dataclasses.replace(
+            _restep(p7, 1, child=dataclasses.replace(p7_child, critical_f=(1, 1))),
             critical_f=(1, 0, 1),
         ),
         0b1111000, "the critical counts are not the extension's",
         id="inner-critical-f")
-    # The child {3, ..., 6} of P7 derives {3}; given {5}, it has the same
-    # counts, and the root reads only the child's counts and special {3}.
-    yield pytest.param(
-        P7, _restep(p7, 1, child=_critical(p7_child, lambda crit: {0b100000})),
-        0b1111000, "the critical set is not the extension's",
-        id="inner-critical-set-given")
 
 
 @pytest.mark.parametrize("g, tree, mask, hypothesis", list(_tampered_trees()))
