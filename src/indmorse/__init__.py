@@ -1,7 +1,7 @@
 """Acyclic matchings on independence complexes via simplicial-vertex
 recursion, with homotopy classification and homology cross-checks."""
 
-from .chordal import is_chordal, maximum_cardinality_search, verify_peo
+from .chordal import is_chordal, maximum_cardinality_search
 from .complexes import (
     SimplicialComplex,
     f_vector,
@@ -110,5 +110,4 @@ __all__ = [
     "standard_graph",
     "verify_acyclic",
     "verify_matching",
-    "verify_peo",
 ]

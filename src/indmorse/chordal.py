@@ -78,25 +78,6 @@ def maximum_cardinality_search(g: Graph) -> tuple[int, ...]:
     return tuple(_mcs_masked(g.adj, g.full_mask))
 
 
-def verify_peo(g: Graph, order) -> bool:
-    """Check the PEO condition: later neighbors of each vertex form a clique."""
-    order = tuple(order)
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order is not a permutation of the vertices")
-    adj = g.adj
-    later = g.full_mask
-    for v in order:
-        later ^= 1 << v
-        nb = adj[v] & later
-        # A clique: each member is adjacent to the members above it.
-        while nb:
-            low = nb & -nb
-            nb ^= low
-            if nb & ~adj[low.bit_length() - 1]:
-                return False
-    return True
-
-
 def _peo(g: Graph) -> tuple[int, ...] | None:
     """The MCS order of g if it is a perfect elimination ordering, else None.
 

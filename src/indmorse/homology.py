@@ -6,36 +6,29 @@ come from the integer ranks and invariant factors of boundary matrices,
 whose signed columns are built in one place (``_columns_of``); the optimum
 comes from exhaustive search over acyclic matchings of tiny complexes.
 
-Two passes shrink the augmented complex X, whose (-1)-cell is the empty
+One pass shrinks the augmented complex X, whose (-1)-cell is the empty
 simplex, before any elimination.  ``_excise`` grows a subcomplex U from
 nothing, one vertex b at a time, by descending degree in the 1-skeleton:
 the live cells that contain b (upper) and the same cells less b (lower)
 join U if every lower cell is live, so the first vertex brings its closed
-star, the empty simplex included.  A facet s - b - c of a lower cell is a
-facet of s - c, which is in U or upper, so U stays a subcomplex.  The test pairs
-each new upper cell s with a new cell s - b, with incidence +1 or -1, and
-no other facet of s is a lower cell, as it contains b: this element
-matching (Jonsson, LNM 1928) has no gradient path, so the new cells form a
-contractible complex relative to U.  By the exact sequence of the triple, U
-stays acyclic, and reduced H(X) = H(X, U) over the integers, torsion
-included: the homology of the cells left, with the boundary restricted to
-them.  Without the test, an upper cell whose partner is in U already would
-join unpaired: Ind(C_4) would lose a component.
-
-``_coreduce`` then runs the coreduction algorithm of Mrozek & Batko (DCG
-2009) on the cells left, pairing a live cell with its only live facet or its
-only live coface.  Each pair is an elementary reduction over the integers,
-and as one of its cells meets no other live cell across the pair's
-dimensions, each survivor's boundary is its original one restricted to the
-survivors.  When no pair is left, every live edge has zero or two live
-facets, so a live vertex (it has no live facet) spans a free summand of
-reduced H_0; it is removed and counted, and the pass goes on.  Only the
+star, the empty simplex included.  One scan of the live cells collects the
+upper ones and stops at the first whose lower cell is gone, so most
+vertices that fail cost a few cells.  A facet s - b - c of a lower cell is
+a facet of s - c, which is in U or upper, so U stays a subcomplex.  The
+test pairs each new upper cell s with a new cell s - b, with incidence +1
+or -1, and no other facet of s is a lower cell, as it contains b: this
+element matching (Jonsson, LNM 1928) has no gradient path, so the new
+cells form a contractible complex relative to U.  By the exact sequence of
+the triple, U stays acyclic, and reduced H(X) = H(X, U) over the integers,
+torsion included: the homology of the cells left, with the boundary
+restricted to them.  Without the test, an upper cell whose partner is in U
+already would join unpaired: Ind(C_4) would lose a component.  Only the
 survivors' columns reach the sparse elimination.
 
-The passes find their pairs in the complex alone and never read the
-construction's matching, although that matching would serve as well (a
-coreduction sequence is itself an acyclic matching): an oracle fed the
-construction's pairs would check the construction against itself.
+The pass finds its pairs in the complex alone and never reads the
+construction's matching, although that matching would serve as well: an
+oracle fed the construction's pairs would check the construction against
+itself.
 """
 
 from __future__ import annotations
@@ -89,80 +82,18 @@ def _excise(x: SimplicialComplex) -> list[list[int]]:
     degree = Counter([e & -e for e in edges] + [e & (e - 1) for e in edges])
     rest = set(x.faces)
     for b in sorted(x.simplices_of_dim(0), key=lambda b: (-degree[b], b)):
-        upper = {s for s in rest if s & b}
-        lower = {s ^ b for s in upper}
-        if lower <= rest:
-            rest -= upper | lower
+        upper = []
+        for s in rest:
+            if s & b:
+                if s ^ b not in rest:
+                    break
+                upper.append(s)
+        else:
+            rest.difference_update(upper, [s ^ b for s in upper])
     buckets: list[list[int]] = [[] for _ in range(x.dim() + 1)]
     for s in sorted(rest):
         buckets[s.bit_count() - 1].append(s)
     return buckets
-
-
-def _coreduce(buckets: list[list[int]]) -> tuple[list[list[int]], int]:
-    """The survivors of coreductions and free-face reductions on ``_excise``'s
-    cells, in its shape, and the number of vertices removed as free ones."""
-    cells = [s for bucket in buckets for s in bucket]
-    index = {s: i for i, s in enumerate(cells)}
-    facets = []
-    cofaces: list[list[int]] = [[] for _ in cells]
-    for c, s in enumerate(cells):
-        fs = []
-        t = s
-        while t:
-            low = t & -t
-            f = index.get(s ^ low)
-            if f is not None:
-                fs.append(f)
-                cofaces[f].append(c)
-            t ^= low
-        facets.append(fs)
-    live_facets = [len(fs) for fs in facets]
-    live_cofaces = [len(cs) for cs in cofaces]
-    live = [True] * len(cells)
-    # Cells with one live facet or coface, at the start or later.
-    stack = [c for c, k in enumerate(live_facets) if k == 1 or live_cofaces[c] == 1]
-    pair: tuple[int, ...] = ()
-    free = 0
-    vertex, vertex_end = 0, len(buckets[0])
-    while True:
-        for c in pair:
-            live[c] = False
-            for f in facets[c]:
-                if live[f]:
-                    live_cofaces[f] -= 1
-                    if live_cofaces[f] == 1:
-                        stack.append(f)
-            for g in cofaces[c]:
-                if live[g]:
-                    live_facets[g] -= 1
-                    if live_facets[g] == 1:
-                        stack.append(g)
-        pair = ()
-        while stack:
-            c = stack.pop()
-            if not live[c]:
-                continue
-            if live_facets[c] == 1:
-                pair = (c, next(f for f in facets[c] if live[f]))
-                break
-            if live_cofaces[c] == 1:
-                pair = (c, next(g for g in cofaces[c] if live[g]))
-                break
-        if not pair:
-            # Nothing pairs: the next live vertex is a free generator.
-            while vertex < vertex_end and not live[vertex]:
-                vertex += 1
-            if vertex == vertex_end:
-                break
-            pair = (vertex,)
-            free += 1
-    survivors = []
-    start = 0
-    for bucket in buckets:
-        survivors.append([s for i, s in enumerate(bucket, start) if live[i]])
-        start += len(bucket)
-    return survivors, free
 
 
 def _smith_diagonal_dense(mat: list[list[int]]) -> list[int]:
@@ -300,7 +231,7 @@ def homology_integer(x: SimplicialComplex) -> HomologyProfile:
     top = x.dim()
     if top < 0:
         return HomologyProfile((), ())
-    survivors, free = _coreduce(_excise(x))
+    survivors = _excise(x)
     ranks = [0] * (top + 2)
     nontrivial = [False] * (top + 2)
     for d in range(1, top + 1):
@@ -309,7 +240,7 @@ def homology_integer(x: SimplicialComplex) -> HomologyProfile:
         nontrivial[d] = bool(factors)
     betti = [len(survivors[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
     # Excising the empty simplex left reduced H_0: add its lost generator back.
-    betti[0] += free + 1
+    betti[0] += 1
     torsion_free = tuple(not nontrivial[d + 1] for d in range(top + 1))
     return HomologyProfile(tuple(betti), torsion_free)
 

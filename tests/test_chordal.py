@@ -5,7 +5,6 @@ import random
 import sys
 from functools import partial
 
-import pytest
 from hypothesis import example, given, strategies as st
 
 from indmorse import (
@@ -15,7 +14,6 @@ from indmorse import (
     maximum_cardinality_search,
     random_chordal,
     standard_graph,
-    verify_peo,
 )
 from indmorse.chordal import _mcs_masked, _peo
 from oracles import (
@@ -39,42 +37,6 @@ def test_mcs_returns_permutation():
 def test_bucketed_mcs_keeps_the_rescan_order(g, mask):
     mask &= g.full_mask
     assert _mcs_masked(g.adj, mask) == mcs_quadratic(g.adj, mask)
-
-
-def test_verify_peo_examples():
-    assert verify_peo(standard_graph("complete", 1), (0,))
-    assert verify_peo(standard_graph("path", 3), (0, 2, 1))
-    c4 = standard_graph("cycle", 4)
-    for order in itertools.permutations(range(4)):
-        assert not verify_peo(c4, order)
-
-
-@st.composite
-def graphs_and_orders(draw):
-    """A random graph or a random chordal graph, with either its MCS order
-    (a PEO exactly when the graph is chordal) or a random permutation."""
-    if draw(st.booleans()):
-        g = draw(graphs(12))
-    else:
-        g = random_chordal(draw(st.integers(1, 16)), draw(st.floats(0, 1)),
-                           draw(st.integers(0, 10**6)))
-    if draw(st.booleans()):
-        return g, maximum_cardinality_search(g)
-    return g, draw(st.permutations(range(g.n)))
-
-
-@given(graphs_and_orders())
-def test_verify_peo_matches_the_clique_reference(case):
-    g, order = case
-    assert verify_peo(g, order) == verify_peo_reference(g, order)
-
-
-def test_verify_peo_rejects_non_permutations():
-    g = standard_graph("path", 3)
-    with pytest.raises(ValueError):
-        verify_peo(g, (0, 1))
-    with pytest.raises(ValueError):
-        verify_peo(g, (0, 0, 1))
 
 
 def test_is_chordal_examples():
@@ -107,7 +69,7 @@ def test_mcs_head_is_simplicial_on_chordal_graphs():
     for seed in range(60):
         g = random_chordal(1 + seed % 11, (seed % 5) / 4, seed)
         order = maximum_cardinality_search(g)
-        assert verify_peo(g, order)
+        assert verify_peo_reference(g, order)
         assert is_simplicial(g, order[0])
 
 
@@ -154,9 +116,9 @@ FOLLOWER_PAST_THE_WALK = Graph.from_edges(8, [
 @example(standard_graph("empty", 0))
 def test_the_checked_search_is_the_search_and_its_check(g):
     # _peo runs one search that checks its order as it goes; it must give
-    # the full search's order exactly when the standalone check accepts it.
+    # the full search's order exactly when the reference check accepts it.
     order = maximum_cardinality_search(g)
-    want = order if verify_peo(g, order) else None
+    want = order if verify_peo_reference(g, order) else None
     g.__dict__.pop("_peo", None)
     assert _peo(g) == want
 

@@ -508,7 +508,7 @@ def test_one_peo_search_per_run(capsys, p5, c4, monkeypatch):
 
         return wrapper
 
-    for name in ("_mcs_masked", "maximum_cardinality_search", "verify_peo"):
+    for name in ("_mcs_masked", "maximum_cardinality_search"):
         monkeypatch.setattr(chordal, name, counted(getattr(chordal, name)))
     # The summary's chordality check and the count route or the chordal
     # driver share one search, which checks its order as it goes: no

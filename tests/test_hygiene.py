@@ -216,11 +216,8 @@ def test_one_maximum_cardinality_search_per_graph():
     # chordal._peo runs the search once per graph, checking its order as it
     # goes, and keeps the order; a driver that called the search itself
     # could run it at every node.  maximum_cardinality_search is the same
-    # search without the check, and verify_peo the standalone checker:
-    # neither runs inside the library.
-    callers = {
-        "maximum_cardinality_search": set(), "_mcs_masked": set(), "verify_peo": set()
-    }
+    # search without the check, and does not run inside the library.
+    callers = {"maximum_cardinality_search": set(), "_mcs_masked": set()}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(node, "name", "<module>")
@@ -229,7 +226,6 @@ def test_one_maximum_cardinality_search_per_graph():
     assert callers == {
         "maximum_cardinality_search": set(),
         "_mcs_masked": {"chordal.maximum_cardinality_search", "chordal._peo"},
-        "verify_peo": set(),
     }
 
 
