@@ -147,7 +147,7 @@ def _graph_summary(g: Graph) -> tuple[dict, GridSpec | None]:
     """The report's graph block, and the grid spec its labels define, if any."""
     summary = {
         "vertices": g.n,
-        "edges": sum(row.bit_count() for row in g.adj) // 2,
+        "edges": sum(map(int.bit_count, g.adj)) // 2,
         "chordal": is_chordal(g),
     }
     spec = None

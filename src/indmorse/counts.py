@@ -69,9 +69,10 @@ class GridCountTable:
         return self.table[(i, j)][l]
 
 
-def _rectangle_table(spec: GridSpec) -> dict[tuple[int, int], list[int]]:
+def _rectangle_table(spec: GridSpec) -> list[list[list[int]]]:
     """Critical counts of every corner rectangle (i, j), 0 <= i <= m and
-    0 <= j <= n, filled bottom-up; (m, 0) is the whole grid.
+    0 <= j <= n, as table[i][j], filled bottom-up; table[m][0] is the whole
+    grid.
 
     Zero-dimensional counts: column sums when i = 0, row sums when j = n,
     and 1 + |V(0,j)| + |V(i,n)| otherwise.  Higher counts combine child
@@ -79,15 +80,15 @@ def _rectangle_table(spec: GridSpec) -> dict[tuple[int, int], list[int]]:
     paired critical 0-simplex of each child.
     """
     m, n, sizes = spec.m, spec.n, spec.sizes
-    table: dict[tuple[int, int], list[int]] = {}
+    table: list[list[list[int]]] = [[[]] * (n + 1) for _ in range(m + 1)]
     for j in range(n, -1, -1):
         for i in range(m + 1):
             d = min(i, n - j)
-            row = [0] * (d + 1)
+            row = table[i][j] = [0] * (d + 1)
             if i == 0:
-                row[0] = sum(sizes[0][s] for s in range(j, n + 1))
+                row[0] = sum(sizes[0][j:])
             elif j == n:
-                row[0] = sum(sizes[r][n] for r in range(i + 1))
+                row[0] = sum(size[n] for size in sizes[: i + 1])
             else:
                 row[0] = 1 + sizes[0][j] + sizes[i][n]
             for l in range(1, d + 1):
@@ -95,11 +96,11 @@ def _rectangle_table(spec: GridSpec) -> dict[tuple[int, int], list[int]]:
                 acc = 0
                 for r in range(l, i + 1):
                     dr = 1 if r == i else 0
-                    acc += (sizes[r][j] - dr) * (table[(r - 1, j + 1)][l - 1] - dl)
+                    acc += (sizes[r][j] - dr) * (table[r - 1][j + 1][l - 1] - dl)
+                below = table[i - 1]
                 for s in range(j + 1, n - l + 1):
-                    acc += sizes[i][s] * (table[(i - 1, s + 1)][l - 1] - dl)
+                    acc += sizes[i][s] * (below[s + 1][l - 1] - dl)
                 row[l] = acc
-            table[(i, j)] = row
     return table
 
 
@@ -114,8 +115,8 @@ def grid_count_table(spec: GridSpec) -> GridCountTable:
     return GridCountTable(
         m,
         n,
-        {(i, j): tuple(table[(i, j)]) for j in range(n, 0, -1) for i in range(m)},
-        _trim(table[(m, 0)]),
+        {(i, j): tuple(table[i][j]) for j in range(n, 0, -1) for i in range(m)},
+        _trim(table[m][0]),
     )
 
 
@@ -123,4 +124,4 @@ def grid_critical_fvector(spec: GridSpec) -> tuple[int, ...]:
     """Critical f-vector of the full grid graph via the closed recurrences:
     the rectangle table's (m, 0) entry.  Degenerate grids (m = 0 or n = 0)
     are complete graphs, contributing a single count."""
-    return _trim(_rectangle_table(spec)[(spec.m, 0)])
+    return _trim(_rectangle_table(spec)[spec.m][0])

@@ -70,7 +70,7 @@ def _grid_rows(members, labels) -> tuple[int, ...]:
             if j < n:
                 above[i][j] |= above[i][j + 1]
     return tuple(
-        (below[i][j] | above[i][j]) & ~(1 << v) for v, (i, j) in enumerate(labels)
+        [(below[i][j] | above[i][j]) & ~(1 << v) for v, (i, j) in enumerate(labels)]
     )
 
 
@@ -188,18 +188,20 @@ def grid_spec_from_labels(g: Graph) -> GridSpec:
         raise ValueError("graph carries no grid labels")
     if g.n == 0:
         raise ValueError("empty graph has no grid spec")
-    if any(i < 0 or j < 0 for i, j in g.labels):
+    labels = g.labels
+    # Rows and columns of the labels, read in one pass at C level.
+    rows, cols = zip(*labels)
+    if min(rows) < 0 or min(cols) < 0:
         raise ValueError("negative cell label")
-    m = max(i for i, _ in g.labels)
-    n = max(j for _, j in g.labels)
+    m, n = max(rows), max(cols)
     # Checked before allocating the cell table, which the labels size.
     if (m + 1) * (n + 1) > g.n:
         raise ValueError("labels leave a grid cell empty")
     members = [[0] * (n + 1) for _ in range(m + 1)]
-    for v, (i, j) in enumerate(g.labels):
+    for v, (i, j) in enumerate(labels):
         members[i][j] |= 1 << v
-    if any(c == 0 for row in members for c in row):
+    if not all(map(all, members)):
         raise ValueError("labels leave a grid cell empty")
-    if tuple(g.adj) != _grid_rows(members, g.labels):
+    if tuple(g.adj) != _grid_rows(members, labels):
         raise ValueError("labels are inconsistent with the adjacency rule")
-    return GridSpec.of(m, n, [[c.bit_count() for c in row] for row in members])
+    return GridSpec(m, n, tuple(tuple(map(int.bit_count, row)) for row in members))

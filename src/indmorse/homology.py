@@ -65,8 +65,11 @@ def _columns_of(cells, rows) -> list[dict[int, int]]:
     for beta in cells:
         col: dict[int, int] = {}
         sign = 1
-        for v in bits(beta):
-            r = row_index.get(beta & ~(1 << v))
+        rest = beta
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = row_index.get(beta ^ low)
             if r is not None:
                 col[r] = sign
             sign = -sign

@@ -120,23 +120,28 @@ def _assemble_counts(g: Graph, mask: int, v: int, children) -> tuple[int, ...]:
     0-simplex per child, x_u + u, is paired."""
     # A universal neighbor u of v leaves G - N[u] empty, so it has no child.
     k = (g.adj[v] & mask).bit_count() - len(children)
-    child_fs = children.values()
     # A path has one child per node and f-vectors of length up to n/3, so a
-    # node is built by list operations in C: a shift, or column sums.
-    if len(child_fs) == 1:
-        (f,) = child_fs
-        counts = [1 + k, f[0] - 1, *f[1:]]
-    else:
-        counts = [1 + k, *map(sum, zip_longest(*child_fs, fillvalue=0))]
-        if child_fs:
-            counts[1] -= len(child_fs)
-    return _trim(counts)
+    # node is built by sequence operations in C: a shift, or column sums.
+    if len(children) == 1:
+        (f,) = children.values()
+        # A child with one critical cell, its x_u, leaves none to lift.
+        if f == (1,):
+            return (1 + k,)
+        counts = (1 + k, f[0] - 1) + f[1:]
+        return counts if counts[-1] else _trim(list(counts))
+    counts = [1 + k, *map(sum, zip_longest(*children.values(), fillvalue=0))]
+    if children:
+        counts[1] -= len(children)
+    return tuple(counts) if counts[-1] else _trim(counts)
 
 
 def _choose_xu(child: ConstructionResult) -> int:
-    """The 0-simplex paired against {u}: the child's special 0-simplex, or,
-    when it has none (a sub-matching given to extend_matching), its
-    smallest-id critical 0-simplex."""
+    """The 0-simplex paired against {u}: the child's special 0-simplex, the
+    {v} of its recipe or the one a given sub-matching holds, or, when it has
+    none (a sub-matching given to extend_matching), its smallest-id
+    critical 0-simplex."""
+    if child.recipe is not None:
+        return 1 << child.recipe[2]
     if child.special_zero is not None:
         return child.special_zero
     zeros = [s for s in child.critical_set if s.bit_count() == 1]
@@ -155,25 +160,35 @@ def _scoped_node(
     """The matching on I(G[mask]): the extension step at v with the given
     children.  Only the critical counts are assembled; the critical set and
     the pairs wait in the recipe."""
-    counts = _assemble_counts(
-        g, mask, v, {u: child.critical_f for u, child in children.items()}
+    fs = {}
+    steps = []
+    for u, child in children.items():
+        fs[u] = child.critical_f
+        steps.append((u, child, _choose_xu(child)))
+    # One __dict__ update, not the frozen dataclass's setattr per field.
+    node = object.__new__(ConstructionResult)
+    node.__dict__.update(
+        critical_f=_assemble_counts(g, mask, v, fs),
+        driver=driver,
+        recipe=(g.adj, mask, v, tuple(steps)),
     )
-    steps = tuple((u, child, _choose_xu(child)) for u, child in children.items())
-    return ConstructionResult(counts, driver, (g.adj, mask, v, steps))
+    return node
 
 
 def _node_critical(adj, mask: int, v: int, steps) -> frozenset[int]:
     """The critical cells of an extension node's recipe: {v}, each {u} for
     u in N(v) with no step, and the lifts c + u of child u's critical cells
     but x_u."""
-    stepped = {u: (child, xu) for u, child, xu in steps}
     critical = [1 << v]
-    for u in bits(adj[v] & mask):
-        if u not in stepped:
-            critical.append(1 << u)
-            continue
-        child, xu = stepped[u]
-        critical += [c | 1 << u for c in child.critical_set if c != xu]
+    alone = adj[v] & mask
+    for u, child, xu in steps:
+        bit_u = 1 << u
+        alone ^= bit_u
+        critical += [c | bit_u for c in child.critical_set if c != xu]
+    while alone:
+        low = alone & -alone
+        critical.append(low)
+        alone ^= low
     return frozenset(critical)
 
 
@@ -185,9 +200,7 @@ def _node_pairs(adj, mask: int, v: int, steps) -> tuple[Pair, ...]:
     pairs: list[Pair] = []
     for u, child, xu in steps:
         bit_u = 1 << u
-        for a, b in child.pairs:
-            if a:
-                pairs.append((a | bit_u, b | bit_u))
+        pairs += [(a | bit_u, b | bit_u) for a, b in child.pairs if a]
         pairs.append((bit_u, bit_u | xu))
     rest = mask & ~(adj[v] | bit_v)
     pairs += [(a, a | bit_v) for a in _independent_sets(adj, rest)]
@@ -241,15 +254,21 @@ def _auto_selector(g: Graph):
     neighbor already tried: a twin of v is adjacent to all of N(v), and a
     twin of u fails exactly where u does."""
     adj = g.adj
-    closed = [row | 1 << v for v, row in enumerate(adj)]
+    closed = []
     classes: dict[int, int] = {}
-    for v, row in enumerate(closed):
+    for v, row in enumerate(adj):
+        row |= 1 << v
+        closed.append(row)
         classes[row] = classes.get(row, 0) | 1 << v
-    twins = [classes[row] for row in closed]
+    twins = list(map(classes.__getitem__, closed))
     witness: dict[int, int] = {}
 
     def select(g: Graph, mask: int) -> int:
-        for v in bits(mask):
+        left = mask
+        while left:
+            bit = left & -left
+            left ^= bit
+            v = bit.bit_length() - 1
             pair = witness.get(v)
             if pair is not None and mask & pair == pair:
                 continue
@@ -279,7 +298,7 @@ def _peo_selector(g: Graph):
     restricted to an induced subgraph is one of it.  A bisection finds the
     first prefix of the ordering that meets the mask."""
     order = _peo(g)
-    prefixes = list(accumulate((1 << v for v in order), or_))
+    prefixes = list(accumulate(map((1).__lshift__, order), or_))
     return lambda g, mask: order[bisect_left(prefixes, 1, key=mask.__and__)]
 
 
@@ -330,13 +349,13 @@ def _recurse(g: Graph, select, assemble, trace=None):
     subgraph is the one it would report, and assembled and traced in its
     post-order.
     """
+    adj = g.adj
     memo: dict = {}
-    # (mask, None) selects for mask; (mask, picked) assembles it.
-    stack: list = [(g.full_mask, None)]
+    # (mask, -1, None) selects for mask; (mask, v, child masks) assembles it.
+    stack: list = [(g.full_mask, -1, None)]
     while stack:
-        mask, picked = stack.pop()
-        if picked is not None:
-            v, child_masks = picked
+        mask, v, child_masks = stack.pop()
+        if child_masks is not None:
             children = {u: memo[c] for u, c in child_masks.items()}
             node = memo[mask] = assemble(g, mask, v, children)
             if trace is not None:
@@ -348,13 +367,20 @@ def _recurse(g: Graph, select, assemble, trace=None):
         if mask in memo:
             continue
         v = select(g, mask)
-        child_masks: dict[int, int] = {}
-        for u in bits(g.adj[v] & mask):
-            mask_u = mask & ~(g.adj[u] | 1 << u)
+        child_masks = {}
+        # N(v) & mask, lowest bit first.
+        rest = adj[v] & mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            mask_u = mask & ~(adj[u] | low)
             if mask_u:
                 child_masks[u] = mask_u
-        stack.append((mask, (v, child_masks)))
-        stack.extend((c, None) for c in reversed(child_masks.values()) if c not in memo)
+        stack.append((mask, v, child_masks))
+        for c in reversed(child_masks.values()):
+            if c not in memo:
+                stack.append((c, -1, None))
     return memo[g.full_mask]
 
 

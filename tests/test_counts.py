@@ -1,6 +1,7 @@
 """Count-only recursions against the explicit construction."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +28,7 @@ from indmorse import (
 
 from indmorse.homotopy import homotopy_from_counts
 from oracles import critical_fvector_recursive_reference
+from test_chordal import _python_lines
 from test_generators import small_specs
 from test_graph_core import graphs
 from test_homotopy import subtree_intersection_graph
@@ -144,14 +146,6 @@ def test_chordal_count_policy_does_not_scan(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(counts, "_auto_selector", counted_selector)
-    walked = []
-    bits = morse.bits
-
-    def walk(mask):
-        walked.append(mask.bit_count())
-        return bits(mask)
-
-    monkeypatch.setattr(morse, "bits", walk)
     chordal_graphs = (
         standard_graph("path", 40),
         standard_graph("complete", 5),
@@ -160,10 +154,17 @@ def test_chordal_count_policy_does_not_scan(monkeypatch):
         subdivided_tree(20, 2),
     )
     for g in chordal_graphs:
+        # Counted, not timed, past the graph's one kept search: the
+        # recursion walks each N(v) & mask and the selection scans nothing,
+        # so the Python lines run stay within a budget per node and per
+        # neighbor walked; a selection that scans the mask or the ordering
+        # adds lines per vertex of it.
         critical_fvector_recursive(g)
-        # The recursion walks each N(v) & mask; the selection scans nothing.
-        assert max(walked) <= max(row.bit_count() for row in g.adj)
-        walked.clear()
+        trace = {}
+        morse._recurse(g, morse._peo_selector(g), morse._assemble_counts, trace)
+        walked = sum((g.adj[node["v"]] & mask).bit_count() for mask, node in trace.items())
+        budget = 30 * len(trace) + 15 * walked + 60
+        assert _python_lines(partial(critical_fvector_recursive, g), budget) <= budget
     assert calls == []
     # Non-chordal input keeps the generic selection and its error.
     grid = grid_graph(GridSpec.of(2, 2, [[1] * 3] * 3))
@@ -174,6 +175,42 @@ def test_chordal_count_policy_does_not_scan(monkeypatch):
         critical_fvector_recursive(TWO_BAD_CHILDREN)
     assert str(got.value) == "no simplicial vertex in the induced subgraph on [3, 4, 5, 6]"
     assert got.value.vertices == (3, 4, 5, 6)
+
+
+def _lines_per_node(run, g, select) -> float:
+    """The Python lines one run of ``run`` takes per node of the recursion
+    that ``select`` drives on g, past the graph's kept search."""
+    run()
+    trace = {}
+    morse._recurse(g, select, morse._assemble_counts, trace)
+    return _python_lines(run, 10**7) / len(trace)
+
+
+GRID_4X4 = GridSpec.of(3, 3, [[2] * 4] * 4)
+
+
+@pytest.mark.parametrize(
+    "name, budget",
+    [("build-grid-4x4", 175), ("count-path-300", 39), ("count-subdivided-tree-60", 40)],
+)
+def test_recursion_line_budget_per_node(name, budget):
+    # Counted, not timed: Python lines per node, set-up included, of a grid
+    # build and of the count route on a path and a subdivided tree, whose
+    # nodes have about one child each.  A node's neighbors are walked
+    # inline, its result is built once and a child with the single count
+    # (1,) is assembled without trimming; a generator per walk, a dataclass
+    # __init__ per node or a dict rebuilt per recipe pushes the counts past
+    # these budgets.
+    if name == "build-grid-4x4":
+        g = grid_graph(GRID_4X4)
+        run = partial(build_grid_matching, g, GRID_4X4)
+        select = morse._grid_selector(g, GRID_4X4)
+    else:
+        g = standard_graph("path", 300) if name == "count-path-300" else subdivided_tree(60, 2)
+        run = partial(critical_fvector_recursive, g)
+        select = morse._peo_selector(g)
+    per_node = _lines_per_node(run, g, select)
+    assert per_node <= budget
 
 
 def test_one_search_for_a_chordal_build_and_its_count(monkeypatch):
