@@ -40,16 +40,16 @@ class SimplicialComplex:
         return SimplicialComplex(n, faces)
 
     @cached_property
-    def _by_size(self) -> tuple[tuple[int, ...], ...]:
-        """The faces bucketed by vertex count, each bucket sorted: entry k
-        holds the (k - 1)-simplices, so entry 0 is (0,).  Built on first use."""
+    def _by_size(self) -> tuple[list[int], ...]:
+        """The faces bucketed by vertex count, unsorted within a bucket: entry
+        k holds the (k - 1)-simplices, so entry 0 is [0].  Built on first use."""
         buckets: list[list[int]] = [[]]
         for s in self.faces:
             k = s.bit_count()
             while k >= len(buckets):
                 buckets.append([])
             buckets[k].append(s)
-        return tuple(tuple(sorted(b)) for b in buckets)
+        return tuple(buckets)
 
     def dim(self) -> int:
         """Largest simplex dimension; -1 for the complex {0}."""
@@ -58,7 +58,7 @@ class SimplicialComplex:
     def simplices_of_dim(self, d: int) -> tuple[int, ...]:
         """Sorted tuple of the d-dimensional simplices."""
         by_size = self._by_size
-        return by_size[d + 1] if 0 <= d + 1 < len(by_size) else ()
+        return tuple(sorted(by_size[d + 1])) if 0 <= d + 1 < len(by_size) else ()
 
     @cached_property
     def _facet_sets(self) -> dict[int, frozenset[int]]:
@@ -71,7 +71,7 @@ class SimplicialComplex:
         bucket on the first query of k, then kept on the complex."""
         sets = self._facet_sets
         if k not in sets:
-            sets[k] = _facets_of(self.simplices_of_dim(k - 1))
+            sets[k] = _facets_of(self._by_size[k] if k < len(self._by_size) else ())
         return sets[k]
 
 

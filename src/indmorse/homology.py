@@ -80,11 +80,12 @@ def _columns_of(cells, rows) -> list[dict[int, int]]:
 def _excise(x: SimplicialComplex) -> list[list[int]]:
     """The cells that excision leaves in a complex with a vertex (see the
     module docstring), one sorted list per dimension from 0."""
-    edges = x.simplices_of_dim(1)
+    by_size = x._by_size
+    edges = by_size[2] if len(by_size) > 2 else ()
     # An edge's two vertex bits are its lowest and the rest.
     degree = Counter([e & -e for e in edges] + [e & (e - 1) for e in edges])
     rest = set(x.faces)
-    for b in sorted(x.simplices_of_dim(0), key=lambda b: (-degree[b], b)):
+    for b in sorted(by_size[1], key=lambda b: (-degree[b], b)):
         upper = []
         for s in rest:
             if s & b:

@@ -3,11 +3,13 @@ simplices, and generalized alternating paths.
 
 A matching is a collection of Hasse-edge pairs (alpha, beta) with
 dim(beta) = dim(alpha) + 1; the empty simplex may appear as an alpha.  A
+valid matching is accepted by set algebra over all its cells at once; only
+one that fails is walked pair by pair, to name its first fault.  A
 nonempty simplex is critical when it is unpaired or paired with the empty
 simplex.  The matching is acyclic iff its step digraph is, where a step
 goes from a matched alpha to another matched facet of its partner; one
-Kahn peel over all matched simplices decides that and leaves any cycle's
-witness behind.
+Kahn peel over the simplices with steps decides that and leaves any
+cycle's witness behind.
 
 Every check reads check_field's certificate.  For a tuple of tuples, as a
 ConstructionResult's pairs always are, it is kept in the complex's instance
@@ -20,7 +22,9 @@ the faces and the pairs alone, never off a recipe or a trace.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import xor
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex
@@ -30,7 +34,24 @@ Pair = tuple[int, int]
 
 
 def check_matching(x: SimplicialComplex, pairs: Sequence[Pair]):
-    """Validate a matching; returns (ok, message) with message None on success."""
+    """Validate a matching; returns (ok, message) with message None on success.
+
+    Distinct faces as its 2|P| cells, with |a ^ b| and |b| - |a| each summing
+    to |P| over the pairs, make every pair a Hasse edge, so such a matching is
+    accepted at once.  Any other is walked in order to name its first fault.
+    """
+    try:
+        los, his = zip(*pairs, strict=True) if pairs else ((), ())
+    except ValueError:  # a pair of another length, which the walk meets in order
+        los = his = ()
+    cells = {*los, *his}
+    if (
+        len(cells) == 2 * len(pairs)
+        and x.faces.issuperset(cells)
+        and sum(map(int.bit_count, map(xor, los, his))) == len(los)
+        and sum(map(int.bit_count, his)) - sum(map(int.bit_count, los)) == len(los)
+    ):
+        return True, None
     seen: set[int] = set()
     for a, b in pairs:
         if a not in x.faces or b not in x.faces:
@@ -64,28 +85,39 @@ def _alternating_cycle(up: dict[int, int]) -> tuple[int, ...] | None:
     to one still present until nothing drops; each simplex left has a step
     to another, so a walk from the smallest repeats one.  The loop from that
     repeat is reported as the alternating simplex sequence [a0, b0, a1, ...,
-    a0].
+    a0].  A step a -> c = up[a] - w is kept as the bit w in into[c], since
+    a = down[c + w]; out[a] counts a's steps to simplices still present.
     """
-    preds: dict[int, list[int]] = {a: [] for a in up}
-    out = dict.fromkeys(up, 0)
+    out: dict[int, int] = {}
+    into: dict[int, int] = {}
     for a, b in up.items():
         # The facets of b other than a: b less one vertex of a.
         rest = a
         while rest:
             low = rest & -rest
-            if b ^ low in up:
-                preds[b ^ low].append(a)
-                out[a] += 1
+            c = b ^ low
+            if c in up:
+                into[c] = into.get(c, 0) | low
+                out[a] = out.get(a, 0) + 1
             rest ^= low
-    dropped = [a for a, k in out.items() if not k]
-    for a in dropped:
-        for p in preds[a]:
-            out[p] -= 1
-            if not out[p]:
-                dropped.append(p)
-    left = up.keys() - dropped
-    if not left:
+    # Only a simplex with a step into it has anything to pass on as it drops.
+    down = dict(zip(up.values(), up))
+    live = len(out)
+    dropped = [c for c in into if c not in out]
+    for c in dropped:
+        steps = into[c]
+        while steps:
+            low = steps & -steps
+            a = down[c | low]
+            out[a] -= 1
+            if not out[a]:
+                live -= 1
+                if a in into:
+                    dropped.append(a)
+            steps ^= low
+    if not live:
         return None
+    left = {a for a, k in out.items() if k}
     walk: dict[int, int] = {}
     a = min(left)
     while a not in walk:
@@ -151,7 +183,9 @@ def check_field(x: SimplicialComplex, pairs: Sequence[Pair]) -> FieldCertificate
     if ok:
         up = dict(pairs)
         # Unpaired, or paired with the empty simplex.
-        crit = x.faces.difference(up, (b for a, b in pairs if a), (0,))
+        crit = x.faces.difference(up, up.values(), (0,))
+        if 0 in up:
+            crit |= {up[0]}
         cert = FieldCertificate(
             None, _alternating_cycle(up), crit, critical_fvector_of(crit)
         )
@@ -164,13 +198,8 @@ def check_field(x: SimplicialComplex, pairs: Sequence[Pair]) -> FieldCertificate
 
 def critical_fvector_of(critical: Iterable[int]) -> tuple[int, ...]:
     """Histogram of simplex dimensions, trailing zeros trimmed."""
-    counts: list[int] = []
-    for s in critical:
-        d = s.bit_count() - 1
-        while len(counts) <= d:
-            counts.append(0)
-        counts[d] += 1
-    return tuple(counts)
+    sizes = Counter(map(int.bit_count, critical))
+    return tuple(sizes[k] for k in range(1, max(sizes, default=0) + 1))
 
 
 def _proper_subsets(sigma: int):

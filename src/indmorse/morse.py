@@ -22,14 +22,16 @@ graphs), or the smallest simplicial vertex (generic, keeping witnesses).
 A node of the recursion tree stores its critical counts, assembled from its
 children's by the same rule the count route uses (``_assemble_counts``), and
 its recipe: v, its mask and, per child, (u, child node, x_u).  Its special
-0-simplex {v}, critical set and pairs are derived from the recipe on first
-read and then kept, so a build whose caller reads only the counts
-enumerates no cell, and a node equals only itself.  The tree
-is also the certificate: certify_tree walks the recipes from the root and
-checks the extension theorem's hypotheses at each node, which also prove
-every critical cell but the root's {v} maximal.  A ``trace`` dict, when a
-caller passes one, records every node for counting and tests; no code here
-reads it.
+0-simplex {v} is read off the recipe, and its critical set and pairs come
+from one walk of its recipe tree on first read, which carries the lift of
+each node reached instead of lifting a tuple and a frozenset per inner
+node; a node reached keeps only its case (iii) enumeration.  So a build
+whose caller reads only the counts enumerates no cell, and a node equals
+only itself.  The tree is also the certificate: certify_tree walks the
+recipes from the root and checks the extension theorem's hypotheses at
+each node, which also prove every critical cell but the root's {v}
+maximal.  A ``trace`` dict, when a caller passes one, records every node
+for counting and tests; no code here reads it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, zip_longest
+from itertools import accumulate, islice, zip_longest
 from operator import or_
 from typing import Mapping
 
@@ -64,11 +66,11 @@ class ConstructionResult:
     A node stores what the build computes, its ``critical_f`` and its
     ``recipe`` (adj, mask, v, ((u, child, x_u), ...)), and derives the rest
     on first read: ``special_zero`` is {v}, the one critical 0-simplex that
-    may fail to be maximal, and ``pairs`` and ``critical_set`` are read off
-    the recipe.  With no recipe they are None, () and the empty set: the
-    0-vertex graph's node.  A matching given whole (``given``) holds all
-    three and has no recipe.  A result equals only itself, so no comparison
-    or hash derives anything.
+    may fail to be maximal, and ``pairs`` and ``critical_set`` come from one
+    walk of the recipe tree (``_derive``).  With no recipe they are None, ()
+    and the empty set: the 0-vertex graph's node.  A matching given whole
+    (``given``) holds all three and has no recipe.  A result equals only
+    itself, so no comparison or hash derives anything.
     """
 
     critical_f: tuple[int, ...]
@@ -93,11 +95,11 @@ class ConstructionResult:
 
     @cached_property
     def pairs(self) -> tuple[Pair, ...]:
-        return () if self.recipe is None else _node_pairs(*self.recipe)
+        return () if self.recipe is None else _derive(self)[0]
 
     @cached_property
     def critical_set(self) -> frozenset[int]:
-        return frozenset() if self.recipe is None else _node_critical(*self.recipe)
+        return frozenset() if self.recipe is None else _derive(self)[1]
 
 
 def _check_cap(g: Graph) -> None:
@@ -175,36 +177,63 @@ def _scoped_node(
     return node
 
 
-def _node_critical(adj, mask: int, v: int, steps) -> frozenset[int]:
-    """The critical cells of an extension node's recipe: {v}, each {u} for
-    u in N(v) with no step, and the lifts c + u of child u's critical cells
-    but x_u."""
-    critical = [1 << v]
+def _derive(node: ConstructionResult) -> tuple[tuple[Pair, ...], frozenset[int]]:
+    """A node's pairs and critical set, from one walk of its recipe tree that
+    carries the lift L, the union of the u on the path, and keeps both on
+    the node.
+
+    Under L an extension node emits, for each step (u, child, x_u), its
+    child's pairs under L + u and then the case (ii) pair ({u}, {u, x_u})
+    lifted by L, and last (alpha, alpha + v) lifted by L over I(G[mask -
+    N[v]]), less (empty, {v}) below the root: a lifted pair's alpha is
+    never empty.  Its critical cells are {v} and each {u} with no step,
+    lifted by L, unless the parent pairs that 0-simplex as its x_u, and its
+    children's under L + u.  A node given whole, or read before, emits what
+    it holds lifted the same way.  Each other node reached keeps its case
+    (iii) enumeration, so that runs once however often the node is reached
+    or read.
+    """
+    pairs: list[Pair] = []
+    critical: list[int] = []
+    _walk(node, 0, 0, pairs, critical)
+    # A walk that reaches this node later lifts what it now holds.
+    node.__dict__.pop("_free", None)
+    derived = tuple(pairs), frozenset(critical)
+    node.__dict__.update(pairs=derived[0], critical_set=derived[1])
+    return derived
+
+
+def _walk(node, lift: int, skip: int, pairs: list, critical: list) -> None:
+    """_derive's walk from node under lift; skip is the parent's x_u, 0 at the root."""
+    held = node.__dict__
+    if "pairs" in held:
+        pairs.extend([(a | lift, b | lift) for a, b in held["pairs"] if a])
+        critical.extend([c | lift for c in held["critical_set"] if c != skip])
+        return
+    adj, mask, v, steps = node.recipe
+    bit_v = 1 << v
+    if bit_v != skip:
+        critical.append(bit_v | lift)
     alone = adj[v] & mask
     for u, child, xu in steps:
         bit_u = 1 << u
         alone ^= bit_u
-        critical += [c | bit_u for c in child.critical_set if c != xu]
+        _walk(child, lift | bit_u, xu, pairs, critical)
+        pairs.append((bit_u | lift, bit_u | xu | lift))
     while alone:
         low = alone & -alone
-        critical.append(low)
+        if low != skip:
+            critical.append(low | lift)
         alone ^= low
-    return frozenset(critical)
-
-
-def _node_pairs(adj, mask: int, v: int, steps) -> tuple[Pair, ...]:
-    """The pairs of an extension node's recipe: the lifts of each child's
-    pairs (case i), ({u}, {u, x_u}) (case ii), then (alpha, alpha + v) over
-    I(G[mask - N[v]]) (case iii)."""
-    bit_v = 1 << v
-    pairs: list[Pair] = []
-    for u, child, xu in steps:
-        bit_u = 1 << u
-        pairs += [(a | bit_u, b | bit_u) for a, b in child.pairs if a]
-        pairs.append((bit_u, bit_u | xu))
-    rest = mask & ~(adj[v] | bit_v)
-    pairs += [(a, a | bit_v) for a in _independent_sets(adj, rest)]
-    return tuple(pairs)
+    free = held.get("_free")
+    if free is None:
+        free = held["_free"] = _independent_sets(adj, mask & ~(adj[v] | bit_v))
+    top = bit_v | lift
+    if lift:
+        pairs += [(a | lift, a | top) for a in islice(free, 1, None)]
+    else:
+        # The pairs share the enumeration's sets.
+        pairs += [(a, a | top) for a in free]
 
 
 def extend_matching(

@@ -424,6 +424,62 @@ def acyclic_by_reachability(x: SimplicialComplex, pairs) -> bool:
     return True
 
 
+def first_matching_fault(x: SimplicialComplex, pairs) -> str | None:
+    """The first fault of a matching, walking its pairs in order, or None:
+    a pair that leaves the complex, one that is no Hasse edge, or a simplex
+    in two pairs, in the library's words.  Kept as the ordered check stood
+    before valid matchings were accepted by set algebra."""
+    seen: set[int] = set()
+    for a, b in pairs:
+        if a not in x.faces or b not in x.faces:
+            return f"pair ({sorted(bits(a))}, {sorted(bits(b))}) leaves the complex"
+        extra = b & ~a
+        if a & ~b or extra.bit_count() != 1:
+            return f"pair ({sorted(bits(a))}, {sorted(bits(b))}) is not a Hasse edge"
+        if a in seen:
+            return f"simplex {sorted(bits(a))} appears in two pairs"
+        if b in seen:
+            return f"simplex {sorted(bits(b))} appears in two pairs"
+        seen.add(a)
+        seen.add(b)
+    return None
+
+
+def lifted_by_node(node, memo: dict | None = None):
+    """(pairs, critical set) of a recursion-tree node, each node's lifted
+    from its children's as the extension step states them, one node at a
+    time: the lifts (alpha + u, beta + u) of child u's pairs with alpha
+    nonempty (case i), then ({u}, {u, x_u}) (case ii), and last (alpha,
+    alpha + v) over the independent sets of mask - N[v] (case iii); the
+    critical cells are {v}, each {u} of N(v) with no step, and the lifts
+    c + u of child u's critical cells but x_u.  Reads a node's ``recipe``
+    only; a node without one holds its own pairs and critical set."""
+    memo = {} if memo is None else memo
+    if id(node) in memo:
+        return memo[id(node)][0]
+    if node.recipe is None:
+        out = tuple(node.pairs), frozenset(node.critical_set)
+    else:
+        adj, mask, v, steps = node.recipe
+        pairs = []
+        critical = {1 << v}
+        alone = adj[v] & mask
+        for u, child, xu in steps:
+            bit_u = 1 << u
+            alone &= ~bit_u
+            child_pairs, child_critical = lifted_by_node(child, memo)
+            pairs += [(a | bit_u, b | bit_u) for a, b in child_pairs if a]
+            pairs.append((bit_u, bit_u | xu))
+            critical |= {c | bit_u for c in child_critical if c != xu}
+        critical |= {1 << u for u in bits(alone)}
+        rest = mask & ~(adj[v] | 1 << v)
+        pairs += [(a, a | 1 << v) for a in independent_sets_recursive(adj, rest)]
+        out = tuple(pairs), frozenset(critical)
+    # The memo keeps the node, so its id is not reused while it serves.
+    memo[id(node)] = out, node
+    return out
+
+
 def is_alternating_cycle(cycle, pairs) -> bool:
     """Whether cycle is a closed alternating path (a0, b0, a1, ..., a0) of
     pairs with no repeated a: each (a, b) is one of the pairs, and the next

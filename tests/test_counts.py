@@ -10,16 +10,19 @@ from indmorse import (
     Graph,
     GridSpec,
     HomotopyType,
+    SimplicialComplex,
     UnsupportedGraphError,
     build_auto,
     build_chordal_matching,
     build_grid_matching,
+    check_field,
     chordal,
     counts,
     critical_fvector_recursive,
     grid_count_table,
     grid_critical_fvector,
     grid_graph,
+    independence_complex,
     is_chordal,
     morse,
     random_chordal,
@@ -211,6 +214,42 @@ def test_recursion_line_budget_per_node(name, budget):
         select = morse._peo_selector(g)
     per_node = _lines_per_node(run, g, select)
     assert per_node <= budget
+
+
+# Grids that mix 1- and 2-cells, so both case (ii) and case (iii) pairs
+# occur at many nodes.
+MIXED_GRIDS = {
+    "mixed-3x4": GridSpec.of(2, 3, [[1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 1, 2]]),
+    "mixed-4x3": GridSpec.of(3, 2, [[2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 2, 1]]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, step, budget",
+    [
+        ("mixed-3x4", "check", 25), ("mixed-4x3", "check", 25),
+        ("mixed-3x4", "derive", 17.5), ("mixed-4x3", "derive", 21),
+    ],
+)
+def test_gate_line_budget_per_pair(name, step, budget):
+    # Counted, not timed: Python lines per pair of the field check on a
+    # fresh complex, and of the first read of a fresh build's pairs and
+    # critical set.  The check accepts a valid matching by set algebra, not
+    # a loop over its pairs, and the derivation walks the tree once instead
+    # of building a tuple and a frozenset at every inner node; a loop per
+    # pair or a derivation per node pushes the counts past these budgets.
+    spec = MIXED_GRIDS[name]
+    g = grid_graph(spec)
+    res = build_grid_matching(g, spec)
+    if step == "check":
+        x = independence_complex(g)
+        pairs = res.pairs
+        lines = _python_lines(
+            lambda: check_field(SimplicialComplex(x.n, x.faces), pairs), 10**7
+        )
+    else:
+        lines = _python_lines(lambda: (res.pairs, res.critical_set), 10**7)
+    assert lines / len(res.pairs) <= budget
 
 
 def test_one_search_for_a_chordal_build_and_its_count(monkeypatch):

@@ -4,22 +4,27 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indmorse import matching
 from indmorse import (
     ConstructionResult,
+    GridSpec,
     HomotopyType,
     SimplicialComplex,
     classify,
     extend_matching,
     build_auto,
     build_chordal_matching,
+    build_grid_matching,
     check_field,
     check_matching,
     critical_fvector_of,
     critical_simplices,
     f_vector,
     generalized_vpath_reachable,
+    grid_graph,
     hasse_edges,
     independence_complex,
     is_maximal,
@@ -29,7 +34,12 @@ from indmorse import (
     verify_matching,
     Graph,
 )
-from oracles import acyclic_by_reachability, closure_complex, is_alternating_cycle
+from oracles import (
+    acyclic_by_reachability,
+    closure_complex,
+    first_matching_fault,
+    is_alternating_cycle,
+)
 from test_chordal import _python_lines
 from test_homotopy import subtree_intersection_graph
 
@@ -46,6 +56,14 @@ def test_verify_matching_examples():
     assert not verify_matching(XP3, [(0b001, 0b001)])
     assert not verify_matching(XP3, [(0b010, 0b101)])
     assert not verify_matching(XP3, [(0b001, 0b011)])
+
+
+def test_a_pair_of_another_length_is_met_in_order():
+    # The ordered walk meets it, after any fault of an earlier pair.
+    for pairs in ([(0b001, 0b101), (0, 0b010, 0b100)], [(0, 0b010, 0b100)] * 2):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            check_matching(XP3, pairs)
+    assert check_matching(XP3, [(0b001, 0b001), (0, 0b010, 0b100)])[0] is False
 
 
 def test_check_matching_diagnoses_shared_simplex():
@@ -309,3 +327,84 @@ def test_held_caches_leave_equality_and_hash_alone():
     assert all(is_maximal(x, s) for s in res.critical_set if s != res.special_zero)
     assert x == y and hash(x) == hash(y) == before and {x} == {y}
     assert x == SimplicialComplex(g.n, y.faces) and x != SimplicialComplex(g.n + 1, y.faces)
+
+
+TAMPERS = (
+    "none", "drop", "repeat", "reverse", "non-face", "two-apart", "shared-cell",
+    "empty-twice", "crossed",
+)
+
+
+@st.composite
+def built_fields(draw):
+    """(complex, pairs) of a build on a random chordal graph or a labelled
+    grid, up to 12 vertices either way."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        density = draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
+        g = random_chordal(n, density, draw(st.integers(0, 10**6)))
+        res = build_chordal_matching(g)
+    else:
+        m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        flat = draw(st.lists(st.integers(1, 2), min_size=(m + 1) * (n + 1),
+                             max_size=(m + 1) * (n + 1)).filter(lambda f: sum(f) <= 12))
+        spec = GridSpec.of(m, n, [flat[r * (n + 1):(r + 1) * (n + 1)] for r in range(m + 1)])
+        g = grid_graph(spec)
+        res = build_grid_matching(g, spec)
+    return independence_complex(g), res.pairs
+
+
+def _tamper(draw, x, pairs, kind):
+    """pairs with one fault of the given kind, or unchanged for "none"."""
+    pairs = list(pairs)
+    i = draw(st.integers(0, len(pairs) - 1))
+    j = draw(st.integers(0, len(pairs)))
+    a, b = pairs[i]
+    beyond = x.n  # a vertex of no face
+    if kind == "drop":
+        del pairs[i]
+    elif kind == "repeat":
+        pairs.insert(j, pairs[i])
+    elif kind == "reverse":
+        pairs[i] = (b, a)
+    elif kind == "non-face":
+        # Still a Hasse edge, so only the face test sees it.
+        w = draw(st.sampled_from([w for w in range(beyond + 1)
+                                  if not a >> w & 1 and a | 1 << w not in x.faces]))
+        pairs[i] = (a, a | 1 << w)
+    elif kind == "two-apart":
+        options = [(a, b | 1 << w) for w in range(beyond + 1)
+                   if not b >> w & 1 and b | 1 << w in x.faces]
+        options += [(a ^ 1 << w, b) for w in range(beyond) if a >> w & 1]
+        if not options:
+            options = [(a, b | 1 << beyond)]
+        pairs[i] = draw(st.sampled_from(options))
+    elif kind == "shared-cell":
+        options = [(a, a | 1 << w) for w in range(beyond)
+                   if not b >> w & 1 and a | 1 << w in x.faces]
+        options += [(b ^ 1 << w, b) for w in range(beyond) if a >> w & 1]
+        pairs.insert(j, draw(st.sampled_from(options or [(b, b)])))
+    elif kind == "empty-twice":
+        pairs.insert(j, (0, draw(st.sampled_from([1 << w for w in range(x.n)]))))
+    elif kind == "crossed":
+        # Two pairs of one dimension trade partners: sizes and cells stay.
+        same = [k for k, p in enumerate(pairs) if k != i and p[0].bit_count() == a.bit_count()]
+        if same:
+            k = draw(st.sampled_from(same))
+            pairs[i], pairs[k] = (a, pairs[k][1]), (pairs[k][0], b)
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_fields(), st.sampled_from(TAMPERS), st.data())
+def test_field_check_names_the_first_fault_in_order(field, kind, data):
+    x, pairs = field
+    tampered = _tamper(data.draw, x, pairs, kind)
+    want = first_matching_fault(x, tampered)
+    if kind == "none":
+        assert want is None
+    cert = check_field(SimplicialComplex(x.n, x.faces), tampered)
+    assert cert.error == want, kind
+    assert check_matching(x, tampered) == (want is None, want)
+    if kind == "none":
+        assert cert.ok

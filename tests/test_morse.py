@@ -43,6 +43,7 @@ from oracles import (
     grid_rectangle_trace,
     induced_delete,
     is_simplicial,
+    lifted_by_node,
     universal_vertices,
 )
 from test_counts import TWO_BAD_CHILDREN
@@ -466,6 +467,55 @@ def test_pairs_are_derived_on_first_read_at_every_node(monkeypatch):
     assert built > 150
 
 
+def _assert_derived_as_lifted(nodes):
+    """Each node's pairs, in order, and critical set equal the per-node
+    lifting of the reference."""
+    memo = {}
+    for node in nodes:
+        pairs, critical = lifted_by_node(node, memo)
+        assert node.pairs == pairs and node.critical_set == critical
+
+
+def test_one_walk_derivation_equals_the_per_node_lifting(monkeypatch):
+    built = 0
+    for k, (g, build) in enumerate(_builds_with_every_driver()):
+        trace = {}
+        try:
+            build(g, trace=trace)
+        except UnsupportedGraphError:
+            continue
+        built += 1
+        nodes = [t["result"] for t in trace.values()]
+        # Post-order reads each child before its parents; the reverse reads
+        # the root first, as the gates do.
+        _assert_derived_as_lifted(nodes if k % 2 else nodes[::-1])
+    assert built > 150
+    # Sub-matchings given whole to extend_matching, with and without their
+    # special 0-simplex, so x_u is the child's {v} or its smallest critical
+    # 0-simplex.
+    for seed in range(30):
+        g = random_chordal(2 + seed % 9, 0.25 + (seed % 4) / 4, seed)
+        root = build_auto(g)
+        _, _, v, steps = root.recipe
+        subs = {
+            u: ConstructionResult.given(
+                child.pairs, child.critical_set, child.critical_f,
+                child.special_zero if seed % 2 else None, "given",
+            )
+            for u, child, _ in steps
+        }
+        _assert_derived_as_lifted([extend_matching(g, v, subs)])
+    # A tree with a wrong x_u: the largest critical 0-simplex of each child.
+    monkeypatch.setattr(
+        morse, "_choose_xu",
+        lambda child: max(s for s in child.critical_set if s.bit_count() == 1),
+    )
+    for seed in (74, 108, 213):
+        trace = {}
+        build_auto(random_chordal(6 + seed % 7, 0.5 + (seed % 5) / 10, seed), trace=trace)
+        _assert_derived_as_lifted([t["result"] for t in reversed(trace.values())])
+
+
 def test_repr_reads_stored_fields_only():
     # A failed `assert res == ...` prints both sides; printing a cone of
     # 38,880 faces must not derive its pairs.
@@ -836,13 +886,13 @@ def test_certificate_names_the_failing_node(g, tree, mask, hypothesis):
 
 def test_explicit_analyze_derives_no_critical_set(capsys, tmp_path, monkeypatch):
     derived = []
-    node_critical = morse._node_critical
+    derive = morse._derive
 
-    def counted(*recipe):
-        derived.append(recipe[1])
-        return node_critical(*recipe)
+    def counted(node):
+        derived.append(node.recipe[1])
+        return derive(node)
 
-    monkeypatch.setattr(morse, "_node_critical", counted)
+    monkeypatch.setattr(morse, "_derive", counted)
     grid = grid_graph(GridSpec.of(2, 1, [[1, 2], [2, 1], [1, 2]]))
     paths = {}
     for name, g in (("p7", P7), ("grid", grid)):
