@@ -4,6 +4,10 @@ A simplex is an int bitmask over the ambient vertices; the empty simplex 0
 is a first-class member of every complex (dimension -1).  The construction
 pairs the empty simplex like any other face, so it is never special-cased
 away.
+
+A complex keeps what it derives in its instance dict, on first use: its
+faces bucketed by vertex count, and its 1-skeleton (each vertex's link in
+the edges), from which every maximality question is answered.
 """
 
 from __future__ import annotations
@@ -61,31 +65,17 @@ class SimplicialComplex:
         return tuple(sorted(by_size[d + 1])) if 0 <= d + 1 < len(by_size) else ()
 
     @cached_property
-    def _facet_sets(self) -> dict[int, frozenset[int]]:
-        """facets_of's sets, keyed by k; only the queried sizes are built."""
-        return {}
-
-    def facets_of(self, k: int) -> frozenset[int]:
-        """The faces with k - 1 vertices that lie in some k-vertex face, which
-        are exactly the non-maximal ones of their size.  Read off the k-vertex
-        bucket on the first query of k, then kept on the complex."""
-        sets = self._facet_sets
-        if k not in sets:
-            sets[k] = _facets_of(self._by_size[k] if k < len(self._by_size) else ())
-        return sets[k]
-
-
-def _facets_of(simplices) -> frozenset[int]:
-    """Every simplex of ``simplices`` less one of its vertices."""
-    out: set[int] = set()
-    add = out.add
-    for s in simplices:
-        rest = s
-        while rest:
-            low = rest & -rest
-            add(s ^ low)
-            rest ^= low
-    return frozenset(out)
+    def _skeleton(self) -> tuple[dict[int, int], int]:
+        """The 1-skeleton, read off the vertex and edge buckets on first use:
+        the link mask of each vertex, keyed by its singleton, and the mask of
+        all vertices."""
+        by_size = self._by_size
+        links = dict.fromkeys(by_size[1] if len(by_size) > 1 else (), 0)
+        for e in by_size[2] if len(by_size) > 2 else ():
+            low = e & -e
+            links[low] |= e ^ low
+            links[e ^ low] |= low
+        return links, sum(links)
 
 
 def _independent_sets(
@@ -137,8 +127,33 @@ def is_maximal(x: SimplicialComplex, sigma: int) -> bool:
     """True iff sigma has no proper coface in x."""
     if sigma not in x.faces:
         raise ValueError("simplex does not belong to the complex")
-    # Downward closure means any strict superset yields a one-vertex extension.
-    return sigma not in x.facets_of(sigma.bit_count() + 1)
+    return not _non_maximal(x, (sigma,))
+
+
+def _non_maximal(x: SimplicialComplex, cells) -> list[int]:
+    """The faces among ``cells`` with a proper coface in x, in order.
+
+    By downward closure any coface of s yields one s + w, and each edge
+    {v, w} with v in s is a face of it, so w is a vertex in the link of every
+    vertex of s.  Only such w are tried; on a flag complex, such as an
+    independence complex, the first one is a coface.
+    """
+    links, verts = x._skeleton
+    faces = x.faces
+    out = []
+    for s in cells:
+        cand, rest = verts, s
+        while rest and cand:
+            low = rest & -rest
+            cand &= links[low]
+            rest ^= low
+        while cand:
+            low = cand & -cand
+            if s | low in faces:
+                out.append(s)
+                break
+            cand ^= low
+    return out
 
 
 def hasse_edges(x: SimplicialComplex) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, is_maximal
+from .complexes import SimplicialComplex, _non_maximal
 from .graph_core import Graph, domination_number
 from .homology import HomologyProfile
 from .matching import check_field
@@ -75,7 +75,7 @@ def classify(x: SimplicialComplex, result: ConstructionResult) -> HomotopyType:
     if critical != result.critical_set or fvec != result.critical_f:
         raise ValueError("result does not describe its own matching")
     # With no critical simplex, homotopy_from_counts raises.
-    non_maximal = [s for s in critical if not is_maximal(x, s)]
+    non_maximal = _non_maximal(x, critical)
     if not non_maximal or (
         len(non_maximal) == 1 and non_maximal[0].bit_count() == 1
     ):

@@ -22,7 +22,6 @@ the faces and the pairs alone, never off a recipe or a trace.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import xor
 from typing import Iterable, Sequence
@@ -34,40 +33,47 @@ Pair = tuple[int, int]
 
 
 def check_matching(x: SimplicialComplex, pairs: Sequence[Pair]):
-    """Validate a matching; returns (ok, message) with message None on success.
+    """Validate a matching; returns (ok, message) with message None on success."""
+    rest, message = _unmatched_faces(x, pairs)
+    return rest is not None, message
 
-    Distinct faces as its 2|P| cells, with |a ^ b| and |b| - |a| each summing
-    to |P| over the pairs, make every pair a Hasse edge, so such a matching is
-    accepted at once.  Any other is walked in order to name its first fault.
+
+def _unmatched_faces(x: SimplicialComplex, pairs: Sequence[Pair]):
+    """check_matching's pass: (the faces of x in no pair, None) for a valid
+    matching, else (None, the message of its first fault).
+
+    Its 2|P| cells are distinct faces iff removing them from the faces
+    removes 2|P|.  With that, |a ^ b| and |b| - |a| each summing to |P| over
+    the pairs make every pair a Hasse edge, so such a matching is accepted at
+    once.  Any other is walked in order to name its first fault.
     """
     try:
         los, his = zip(*pairs, strict=True) if pairs else ((), ())
     except ValueError:  # a pair of another length, which the walk meets in order
         los = his = ()
-    cells = {*los, *his}
+    rest = x.faces.difference(los, his)
     if (
-        len(cells) == 2 * len(pairs)
-        and x.faces.issuperset(cells)
+        len(rest) == len(x.faces) - 2 * len(pairs)
         and sum(map(int.bit_count, map(xor, los, his))) == len(los)
         and sum(map(int.bit_count, his)) - sum(map(int.bit_count, los)) == len(los)
     ):
-        return True, None
+        return rest, None
     seen: set[int] = set()
     for a, b in pairs:
         if a not in x.faces or b not in x.faces:
-            return False, f"pair ({sorted(bits(a))}, {sorted(bits(b))}) leaves the complex"
+            return None, f"pair ({sorted(bits(a))}, {sorted(bits(b))}) leaves the complex"
         extra = b & ~a
         if a & ~b or extra.bit_count() != 1:
-            return False, (
+            return None, (
                 f"pair ({sorted(bits(a))}, {sorted(bits(b))}) is not a Hasse edge"
             )
         if a in seen:
-            return False, f"simplex {sorted(bits(a))} appears in two pairs"
+            return None, f"simplex {sorted(bits(a))} appears in two pairs"
         if b in seen:
-            return False, f"simplex {sorted(bits(b))} appears in two pairs"
+            return None, f"simplex {sorted(bits(b))} appears in two pairs"
         seen.add(a)
         seen.add(b)
-    return True, None
+    return x.faces - seen, None
 
 
 def verify_matching(x: SimplicialComplex, pairs: Sequence[Pair]) -> bool:
@@ -171,21 +177,19 @@ class FieldCertificate:
 def check_field(x: SimplicialComplex, pairs: Sequence[Pair]) -> FieldCertificate:
     """Validate a gradient field once: matching, acyclicity, critical data.
 
-    Runs check_matching and, on a valid matching, builds the upward pair
-    map once for the cycle search; the critical simplices are one set
-    difference.  A tuple of tuples gets its certificate kept on x (see the
-    module docstring).
+    Runs check_matching's pass and, on a valid matching, builds the upward
+    pair map once for the cycle search; the critical simplices are the
+    faces that the pass leaves unmatched.  A tuple of tuples gets its
+    certificate kept on x (see the module docstring).
     """
     held = x.__dict__.get("_field_certificate")
     if held is not None and held[0] is pairs:
         return held[1]
-    ok, message = check_matching(x, pairs)
-    if ok:
+    rest, message = _unmatched_faces(x, pairs)
+    if rest is not None:
         up = dict(pairs)
-        # Unpaired, or paired with the empty simplex.
-        crit = x.faces.difference(up, up.values(), (0,))
-        if 0 in up:
-            crit |= {up[0]}
+        # Unpaired, or paired with the empty simplex, which is never critical.
+        crit = rest | {up[0]} if 0 in up else rest - {0}
         cert = FieldCertificate(
             None, _alternating_cycle(up), crit, critical_fvector_of(crit)
         )
@@ -198,8 +202,8 @@ def check_field(x: SimplicialComplex, pairs: Sequence[Pair]) -> FieldCertificate
 
 def critical_fvector_of(critical: Iterable[int]) -> tuple[int, ...]:
     """Histogram of simplex dimensions, trailing zeros trimmed."""
-    sizes = Counter(map(int.bit_count, critical))
-    return tuple(sizes[k] for k in range(1, max(sizes, default=0) + 1))
+    sizes = list(map(int.bit_count, critical))
+    return tuple(map(sizes.count, range(1, max(sizes, default=0) + 1)))
 
 
 def _proper_subsets(sigma: int):

@@ -508,6 +508,26 @@ def is_maximal_scan(x: SimplicialComplex, sigma: int) -> bool:
     return True
 
 
+def classify_by_scan(x: SimplicialComplex, critical) -> tuple:
+    """The verdict of the one classification rule on an acyclic field of x
+    with these critical cells, with maximality read by is_maximal_scan:
+    ("unclassified",) when a critical cell other than one 0-simplex has a
+    coface, else ("collapsible",) or ("wedge", spheres per dimension from
+    0), the base point taken off the 0-simplices."""
+    non_maximal = [s for s in critical if not is_maximal_scan(x, s)]
+    if len(non_maximal) > 1 or (non_maximal and non_maximal[0].bit_count() != 1):
+        return ("unclassified",)
+    counts = [0] * max(s.bit_count() for s in critical)
+    for s in critical:
+        counts[s.bit_count() - 1] += 1
+    if sum(counts) == 1:
+        return ("collapsible",)
+    counts[0] -= 1
+    while not counts[-1]:
+        counts.pop()
+    return ("wedge", tuple(counts))
+
+
 def closure_complex(n: int, facets) -> SimplicialComplex:
     """Downward closure of the given facet masks, as a complex on n vertices."""
     faces = {0}

@@ -11,7 +11,10 @@ enumerates more than FACE_BUDGET faces:
            of every driver that accepts each graph, or its error;
   fields   check_field's certificate (error, cycle, critical set, f-vector)
            of valid fields, of fields with one fault, and of random
-           matchings on the Hasse diagram, cyclic ones among them;
+           matchings on the Hasse diagram, cyclic ones among them; classify's
+           verdict, or its error, on each valid field and each random
+           acyclic one; and, on complexes of at most 200 faces, the faces
+           that is_maximal finds non-maximal;
   cli      stdout, stderr and exit code of analyze (both modes), match
            --pairs --dot (with the DOT file), verify (valid and tampered
            matchings), compare and homology, on graph files in both forms
@@ -43,8 +46,9 @@ FAMILIES = ("builds", "fields", "cli")
 def _graphs(ind):
     """(name, graph, grid spec or None): paths, cycles, cliques and empty
     graphs (the 0-vertex graph among them), book graphs, random chordal
-    graphs as in the acceptance corpus, labelled grids with cells of size 1
-    or 2, and G(n, p) graphs, chordal or not."""
+    graphs as in the acceptance corpus, random k-trees, intersection graphs
+    of random subtrees, labelled grids with cells of size 1 or 2, and
+    G(n, p) graphs, chordal or not."""
     for kind in ("path", "cycle", "complete", "empty"):
         for n in range(3 if kind == "cycle" else 0, 15):
             yield f"{kind}-{n}", ind.standard_graph(kind, n), None
@@ -56,6 +60,11 @@ def _graphs(ind):
         n = i % 14 + 1
         densities = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0) if n <= 9 else (0.6, 0.7, 0.8, 0.9, 1.0, 1.0)
         yield f"chordal-{i}", ind.random_chordal(n, densities[i % 6], seed=i), None
+    for i in range(60):
+        k = i % 4 + 1
+        yield f"ktree-{i}", _k_tree(ind, k + 1 + i % 13, k, random.Random(i)), None
+    for i in range(40):
+        yield f"subtree-{i}", _subtree_intersection(ind, 4 + i % 12, random.Random(i)), None
     rng = random.Random(2028)
     for i in range(160):
         m, n = rng.randint(0, 3), rng.randint(0, 3)
@@ -67,6 +76,44 @@ def _graphs(ind):
         p = rng.choice((0.15, 0.3, 0.5, 0.7))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         yield f"gnp-{i}", ind.Graph.from_edges(n, edges), None
+
+
+def _k_tree(ind, n: int, k: int, rng):
+    """A random k-tree: K_{k+1}, then each new vertex joins a random earlier
+    (k+1)-clique less one random member."""
+    cliques = [list(range(k + 1))]
+    edges = [(a, b) for a in range(k + 1) for b in range(a + 1, k + 1)]
+    for v in range(k + 1, n):
+        base = list(rng.choice(cliques))
+        base.remove(rng.choice(base))
+        edges += [(u, v) for u in base]
+        cliques.append(base + [v])
+    return ind.Graph.from_edges(max(n, k + 1), edges)
+
+
+def _subtree_intersection(ind, n: int, rng):
+    """The intersection graph of n small random subtrees of a random tree,
+    drawn as in tests/test_homotopy.py's subtree_intersection_graph."""
+    size = 3 * n
+    tree: list[list[int]] = [[] for _ in range(size)]
+    for i in range(1, size):
+        p = rng.randrange(i)
+        tree[i].append(p)
+        tree[p].append(i)
+    subtrees: list[set[int]] = []
+    for _ in range(n):
+        start = rng.choice(sorted(rng.choice(subtrees))) if subtrees else 0
+        nodes = {start}
+        frontier = list(tree[start])
+        want = rng.randint(1, 3)
+        while len(nodes) < want and frontier:
+            w = frontier.pop(rng.randrange(len(frontier)))
+            if w not in nodes:
+                nodes.add(w)
+                frontier += [y for y in tree[w] if y not in nodes]
+        subtrees.append(nodes)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if subtrees[a] & subtrees[b]]
+    return ind.Graph.from_edges(n, edges)
 
 
 def _small(ind, g) -> bool:
@@ -109,6 +156,11 @@ def _certificate(ind, x, pairs) -> dict:
         "critical": sorted(cert.critical),
         "critical_f": list(cert.critical_f),
     }
+
+
+def _verdict(ind, x, res) -> dict:
+    h = ind.classify(ind.SimplicialComplex(x.n, x.faces), res)
+    return {"kind": h.kind, "wedge": list(h.wedge), "reason": h.reason}
 
 
 def _tampered(x, pairs, rng):
@@ -161,11 +213,20 @@ def _fields(ind):
             res = None
         if res is not None:
             yield f"{name}/valid", _certificate(ind, x, res.pairs)
+            yield f"{name}/valid-verdict", _attempt(_verdict, ind, x, res)
             for kind, pairs in _tampered(x, res.pairs, rng).items():
                 yield f"{name}/{kind}", _certificate(ind, x, pairs)
         if len(x.faces) <= 200:
+            fresh = ind.SimplicialComplex(x.n, x.faces)
+            yield f"{name}/non-maximal", sorted(s for s in x.faces if not ind.is_maximal(fresh, s))
             for k, pairs in enumerate(_random_matchings(x, rng, 3)):
-                yield f"{name}/random-{k}", _certificate(ind, x, pairs)
+                cert = _certificate(ind, x, pairs)
+                yield f"{name}/random-{k}", cert
+                if cert["error"] is None and cert["cycle"] is None:
+                    field = ind.ConstructionResult.given(
+                        pairs, cert["critical"], tuple(cert["critical_f"]), None, "auto"
+                    )
+                    yield f"{name}/random-{k}-verdict", _attempt(_verdict, ind, x, field)
 
 
 def _run_cli(ind, argv, tmp: str) -> dict:

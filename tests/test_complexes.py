@@ -1,6 +1,8 @@
 """Independence complexes, f-vectors, Hasse edges, maximality, and the
 four-block partition."""
 
+from contextlib import contextmanager
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -18,7 +20,6 @@ from indmorse import (
     is_maximal,
     standard_graph,
 )
-from indmorse import complexes
 from indmorse.complexes import _independent_sets
 from oracles import (
     closure_complex,
@@ -133,19 +134,47 @@ def test_is_maximal_examples():
         is_maximal(xp3, 0b011)
 
 
+def test_a_skeleton_candidate_need_not_be_a_coface():
+    # Vertices 2 and 3 both lie in the skeleton links of 0 and 1, but of
+    # their two extensions of {0, 1} only {0, 1, 3} is a face, and the
+    # lower candidate is tried first.
+    x = closure_complex(4, [0b1011, 0b0101, 0b0110])
+    links, verts = x._skeleton
+    assert verts == 0b1111 and links[0b0001] & links[0b0010] == 0b1100
+    assert not is_maximal(x, 0b0011) and is_maximal(x, 0b1011)
+    # The boundary of a triangle: its one candidate extends no edge.
+    hollow = closure_complex(3, [0b011, 0b101, 0b110])
+    links, _ = hollow._skeleton
+    assert links[0b001] & links[0b010] == 0b100
+    assert all(is_maximal(hollow, s) for s in (0b011, 0b101, 0b110))
+
+
+@contextmanager
+def skeleton_builds():
+    """Record each complex whose 1-skeleton table is built inside the block."""
+    builds = []
+    build = SimplicialComplex._skeleton.func
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    table = cached_property(counted)
+    table.__set_name__(SimplicialComplex, "_skeleton")
+    with mock.patch.object(SimplicialComplex, "_skeleton", table):
+        yield builds
+
+
 def _check_maximality(x):
     """is_maximal against the per-vertex scan on every face of x, and the
-    ValueError of both on every non-face; all faces are asked twice, yet each
-    size's facet set is built once and then kept on x."""
-    with mock.patch.object(
-        complexes, "_facets_of", wraps=complexes._facets_of
-    ) as builds:
+    ValueError of both on every non-face; all faces are asked twice, yet the
+    1-skeleton table is built once, kept on x, and nothing else is kept."""
+    with skeleton_builds() as builds:
         for _ in range(2):
             for s in x.faces:
                 assert is_maximal(x, s) == is_maximal_scan(x, s), bin(s)
-    sizes = {s.bit_count() + 1 for s in x.faces}
-    assert builds.call_count == len(sizes)
-    assert set(x._facet_sets) == sizes
+    assert len(builds) == 1 and builds[0] is x
+    assert set(x.__dict__) - {"n", "faces"} == {"_by_size", "_skeleton"}
     for s in range(1 << x.n):
         if s not in x.faces:
             for check in (is_maximal, is_maximal_scan):

@@ -17,6 +17,7 @@ from indmorse import (
     build_grid_matching,
     check_field,
     chordal,
+    classify,
     counts,
     critical_fvector_recursive,
     grid_count_table,
@@ -24,6 +25,7 @@ from indmorse import (
     grid_graph,
     independence_complex,
     is_chordal,
+    is_maximal,
     morse,
     random_chordal,
     standard_graph,
@@ -250,6 +252,29 @@ def test_gate_line_budget_per_pair(name, step, budget):
     else:
         lines = _python_lines(lambda: (res.pairs, res.critical_set), 10**7)
     assert lines / len(res.pairs) <= budget
+
+
+@pytest.mark.parametrize("name, budget", [("mixed-3x4", 61), ("mixed-4x3", 61)])
+def test_maximality_line_budget_per_critical_cell(name, budget):
+    # Counted, not timed: Python lines per critical cell of criterion 3's
+    # maximality gate and of classify, on a fresh complex whose field check
+    # is already kept, so both read the one 1-skeleton table, built here.
+    # A facet set per queried size, or a call of is_maximal per cell in
+    # classify, pushes the count past this budget.
+    spec = MIXED_GRIDS[name]
+    g = grid_graph(spec)
+    res = build_grid_matching(g, spec)
+    x = independence_complex(g)
+    fresh = SimplicialComplex(x.n, x.faces)
+    check_field(fresh, res.pairs)
+    special, critical = res.special_zero, res.critical_set
+
+    def gate_and_classify():
+        assert all(s == special or is_maximal(fresh, s) for s in critical)
+        classify(fresh, res)
+
+    lines = _python_lines(gate_and_classify, 10**7)
+    assert lines / len(critical) <= budget
 
 
 def test_one_search_for_a_chordal_build_and_its_count(monkeypatch):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from indmorse import matching, morse
 from indmorse import (
@@ -30,7 +31,8 @@ from indmorse import (
     verify_acyclic,
     verify_matching,
 )
-from oracles import closure_complex
+from oracles import acyclic_by_reachability, classify_by_scan, closure_complex
+from test_complexes import skeleton_builds
 from test_generators import small_specs
 
 
@@ -149,13 +151,13 @@ def test_classify_descending_path_branch(monkeypatch):
     assert verify_matching(x, pairs) and verify_acyclic(x, pairs)
     # The field is validated once.
     checks = []
-    check_matching = matching.check_matching
+    unmatched_faces = matching._unmatched_faces
 
     def counted(*args):
         checks.append(args)
-        return check_matching(*args)
+        return unmatched_faces(*args)
 
-    monkeypatch.setattr(matching, "check_matching", counted)
+    monkeypatch.setattr(matching, "_unmatched_faces", counted)
     h = classify(x, res)
     monkeypatch.undo()
     assert len(checks) == 1
@@ -282,28 +284,85 @@ def _certified_and_verified(g, build, *args):
     return classify_tree(g, res), classify(x, res)
 
 
-def test_classify_builds_one_facet_set_on_a_cone():
-    # One critical 0-simplex: classify asks about its edges only, so only the
-    # facets of the 2-vertex faces are read off the complex.
+def test_classify_builds_one_skeleton_table_on_a_cone():
+    # One critical 0-simplex on a complex of 38,880 faces: classify answers
+    # its maximality from the 1-skeleton table, built once.
     g = random_chordal(18, 0.35, 3)
     x = independence_complex(g)
     res = build_auto(g)
     assert len(x.faces) == 38_880 and len(res.critical_set) == 1
-    assert classify(x, res) == HomotopyType("collapsible")
-    assert set(x._facet_sets) == {2}
+    with skeleton_builds() as builds:
+        assert classify(x, res) == HomotopyType("collapsible")
+        assert classify(x, res) == HomotopyType("collapsible")
+    assert len(builds) == 1 and builds[0] is x
 
 
-def test_gate_style_maximality_builds_each_queried_size_once():
+def test_gate_and_classify_build_one_skeleton_table():
     spec = GridSpec.of(2, 2, [[2, 1, 2], [1, 2, 1], [2, 1, 2]])
     g = grid_graph(spec)
     res = build_grid_matching(g, spec)
     x = independence_complex(g)
     # Criterion 3's check, then classify's, which asks every critical cell.
-    assert all(s == res.special_zero or is_maximal(x, s) for s in res.critical_set)
-    classify(x, res)
-    asked = {s.bit_count() + 1 for s in res.critical_set}
-    assert len(asked) > 1
-    assert set(x._facet_sets) == asked
+    with skeleton_builds() as builds:
+        assert all(s == res.special_zero or is_maximal(x, s) for s in res.critical_set)
+        classify(x, res)
+    assert len({s.bit_count() for s in res.critical_set}) > 1
+    assert len(builds) == 1 and builds[0] is x
+    # On I(g) a vertex's link is every other vertex it is not adjacent to.
+    links = {1 << v: g.full_mask & ~g.adj[v] & ~(1 << v) for v in range(g.n)}
+    assert x._skeleton == (links, g.full_mask)
+
+
+def _random_acyclic_matching(x, rng):
+    """A random acyclic matching on the Hasse diagram of x, empty simplex
+    included: edges in random order, each kept with probability 0.7 when it
+    meets no kept cell and leaves the field acyclic by reachability."""
+    edges = [(b & ~(1 << v), b) for b in sorted(x.faces) for v in range(x.n) if b >> v & 1]
+    rng.shuffle(edges)
+    pairs: list = []
+    used: set = set()
+    for a, b in edges:
+        if rng.random() < 0.3 or a in used or b in used:
+            continue
+        if acyclic_by_reachability(x, pairs + [(a, b)]):
+            pairs.append((a, b))
+            used.update((a, b))
+    return pairs
+
+
+# The boundary of a triangle with one vertex paired to the empty simplex:
+# vertex 0 is in the skeleton link of both ends of the critical edge {1, 2},
+# yet {0, 1, 2} is no face, so the edge is maximal and the type a circle.
+HOLLOW_TRIANGLE = (3, [0b011, 0b101, 0b110], [(0, 0b001), (0b010, 0b011), (0b100, 0b101)])
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5)
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+@example(HOLLOW_TRIANGLE[:2], None)
+def test_classify_equals_the_scan_reference_on_closure_complexes(case, rng):
+    # Closure complexes are not flag in general, so a vertex in the link of
+    # every vertex of a cell need not extend it; classify's one pass over the
+    # skeleton table must still agree with the per-vertex scan.
+    n, tops = case
+    x = closure_complex(n, tops)
+    if rng is None:
+        pairs = HOLLOW_TRIANGLE[2]
+    else:
+        pairs = _random_acyclic_matching(x, rng)
+    up = dict(pairs)
+    critical = x.faces - set(up) - set(up.values()) - {0} | ({up[0]} if 0 in up else set())
+    res = manual_result(tuple(pairs), critical)
+    h = classify(x, res)
+    verdict = (h.kind, h.wedge) if h.kind == "wedge" else (h.kind,)
+    assert verdict == classify_by_scan(x, critical)
+    if rng is None:
+        assert h == HomotopyType("wedge", (0, 1))
 
 
 def random_non_chordal(seed: int) -> Graph:

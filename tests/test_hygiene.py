@@ -203,13 +203,29 @@ def test_the_count_rule_lives_once_in_morse():
 
 
 def test_the_homology_oracle_reads_no_gate_cache():
-    # Complexes keep the maximality gate's facet sets and the field check's
-    # certificate; an oracle that read either would lean on those checks.
+    # Complexes keep the maximality gate's 1-skeleton table and the field
+    # check's certificate; an oracle that read either would lean on those
+    # checks.
     path = SRC / "homology.py"
     text = path.read_text(encoding="utf-8")
-    assert "_facet_sets" not in text and "_field_certificate" not in text
+    for name in ("_skeleton", "_non_maximal", "_field_certificate"):
+        assert name not in text, name
     called = set(_called_names(ast.parse(text)))
-    assert not called & {"facets_of", "_facets_of"}
+    assert not called & {"is_maximal", "_non_maximal"}
+
+
+def test_one_maximality_path():
+    # Every maximality question is answered by complexes._non_maximal from
+    # the 1-skeleton table; no per-size facet set is left.
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "facets_of" not in text and "_facet_sets" not in text, path.name
+        readers = {
+            fn.name for fn in ast.walk(ast.parse(text))
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(n, ast.Attribute) and n.attr == "_skeleton" for n in ast.walk(fn))
+        }
+        assert readers <= {"_non_maximal"}, path.name
 
 
 def test_one_maximum_cardinality_search_per_graph():

@@ -231,8 +231,8 @@ def test_construction_satisfies_euler_and_pointwise_bounds():
 
 
 def count_passes(monkeypatch):
-    """Count the raw matching checks and cycle searches from now on."""
-    calls = {"check_matching": 0, "_alternating_cycle": 0}
+    """Count the raw matching passes and cycle searches from now on."""
+    calls = {"_unmatched_faces": 0, "_alternating_cycle": 0}
     for name in calls:
         raw = getattr(matching, name)
 
@@ -264,7 +264,7 @@ def test_gate_sequence_checks_one_field_once(monkeypatch):
     assert all(s == res.special_zero or is_maximal(x, s) for s in res.critical_set)
     assert classify(x, res) == HomotopyType("wedge", (2, 15))
     assert critical_simplices(x, res.pairs) == (res.critical_set, res.critical_f)
-    assert calls == {"check_matching": 1, "_alternating_cycle": 1}
+    assert calls == {"_unmatched_faces": 1, "_alternating_cycle": 1}
 
 
 def test_kept_certificate_answers_only_its_own_tuple(monkeypatch):
@@ -287,7 +287,7 @@ def test_kept_certificate_answers_only_its_own_tuple(monkeypatch):
         assert answers(x, pairs) == answers(fresh, pairs)
     # Each variant is checked on x and on its fresh copy: one pass for each
     # tuple of tuples, and one per call for the list and the tuple of lists.
-    assert calls["check_matching"] == 2 * (1 + 3 + 3 + 1 + 1)
+    assert calls["_unmatched_faces"] == 2 * (1 + 3 + 3 + 1 + 1)
     crit, _ = critical_simplices(x, variants[3])
     assert crit == res.critical_set | {a, b}
     dropped = ConstructionResult.given(
