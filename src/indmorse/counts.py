@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .chordal import _peo
 from .generators import GridSpec
 from .graph_core import Graph
-from .morse import _assemble_counts, _auto_selector, _peo_selector, _recurse, _trim
+from .morse import _assemble_counts, _auto_selector, _peo_selector, _recurse, _trim, _twin_table
 
 
 def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
@@ -37,16 +37,20 @@ def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
     of its one perfect elimination ordering left in the subgraph, found by a
     bisection with no scan.  Any other graph takes build_auto's selector,
     the smallest simplicial vertex, so the first subgraph without one is the
-    one build_auto reports.  On a chordal graph the construction is perfect,
-    so every simplicial choice gives the Betti numbers and both agree.
+    one build_auto reports, and its twin table: true twins u share G - N[u],
+    so the sums take each class's child once, times its size.  On a chordal
+    graph the construction is perfect, so every simplicial choice gives the
+    Betti numbers and both agree.
 
     It runs on the construction's own recursion, ``morse._recurse``, so its
     depth is not bounded by the interpreter's.
     """
     if g.n == 0:
         return ()
-    select = _auto_selector(g) if _peo(g) is None else _peo_selector(g)
-    return _recurse(g, select, _assemble_counts)
+    if _peo(g) is not None:
+        return _recurse(g, _peo_selector(g), _assemble_counts)
+    closed, twins = _twin_table(g)
+    return _recurse(g, _auto_selector(closed, twins), _assemble_counts, twins=twins)
 
 
 @dataclass(frozen=True)

@@ -238,12 +238,23 @@ def graph_from_json(obj: dict) -> Graph:
     # Checked before anything is allocated: a huge "n" costs nothing.
     if type(rows) is not list or len(rows) != n:
         raise ValueError(f'"rows" must be a list of {n} hex strings')
-    # int(text, 16) alone would take "0x1", "+1", "1_0", " 1" and "A".  The
-    # list is tested at C level; the loop names the first malformed row.
-    digits = "0123456789abcdef"
-    if not (set(map(type, rows)) <= {str} and all(rows) and not "".join(rows).strip(digits)):
+    # int(text, 16) alone would take "0x1", "+1", "1_0", " 1", "A" and
+    # non-ASCII digits such as "\u0663".  The list is tested at C level: a
+    # type pass, then one pass over the UTF-8 bytes of the joined rows,
+    # where any other character leaves a byte that is no hex digit.  The
+    # loop names the first malformed row.
+    digits = b"0123456789abcdef"
+    if (
+        list(map(type, rows)).count(str) != n
+        or not all(rows)
+        or "".join(rows).encode(errors="replace").translate(None, digits)
+    ):
         for v, text in enumerate(rows):
-            if type(text) is not str or not text or text.strip(digits):
+            if (
+                type(text) is not str
+                or not text
+                or text.encode(errors="replace").translate(None, digits)
+            ):
                 raise ValueError(f"malformed row {text!r} of vertex {v}")
     adj = _mirrored([int(text, 16) for text in rows])
     return _graph_of_rows(n, adj, _checked_labels(obj.get("labels")))

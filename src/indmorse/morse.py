@@ -18,6 +18,9 @@ of a recursion is one such step, and a driver is one function select(g,
 mask) -> v: the first vertex of the graph's perfect elimination ordering in
 the mask (chordal), a vertex of the corner cell (labeled grid-family
 graphs), or the smallest simplicial vertex (generic, keeping witnesses).
+True twins, vertices with one closed neighborhood, share their child: the
+generic driver hands its twin classes to the recursion, which walks N(v)
+one class at a time.
 
 A node of the recursion tree stores its critical counts, assembled from its
 children's by the same rule the count route uses (``_assemble_counts``), and
@@ -39,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import or_
 from typing import Mapping
 
@@ -115,25 +118,32 @@ def _trim(counts: list[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _assemble_counts(g: Graph, mask: int, v: int, children) -> tuple[int, ...]:
+def _assemble_counts(g: Graph, mask: int, v: int, children, twins=None) -> tuple[int, ...]:
     """The critical counts of the node at v from its children's, {u:
     critical_f of G[mask] - N[u]}: {v} and each {u} with no child are
     0-simplices, each child's d-cells lift to (d+1)-cells, and one lifted
-    0-simplex per child, x_u + u, is paired."""
+    0-simplex per child, x_u + u, is paired.  Under the generic driver's
+    ``twins`` a child is keyed by its class instead, the bitmask of the true
+    twins in N(v) & mask that share it, and counts once per member."""
+    paired = len(children) if twins is None else sum(map(int.bit_count, children))
     # A universal neighbor u of v leaves G - N[u] empty, so it has no child.
-    k = (g.adj[v] & mask).bit_count() - len(children)
+    k = (g.adj[v] & mask).bit_count() - paired
     # A path has one child per node and f-vectors of length up to n/3, so a
     # node is built by sequence operations in C: a shift, or column sums.
-    if len(children) == 1:
+    if paired == 1:
         (f,) = children.values()
         # A child with one critical cell, its x_u, leaves none to lift.
         if f == (1,):
             return (1 + k,)
         counts = (1 + k, f[0] - 1) + f[1:]
         return counts if counts[-1] else _trim(list(counts))
-    counts = [1 + k, *map(sum, zip_longest(*children.values(), fillvalue=0))]
-    if children:
-        counts[1] -= len(children)
+    fs = children.values()
+    if paired != len(fs):
+        # A class's child, once per member.
+        fs = chain.from_iterable(map(repeat, fs, map(int.bit_count, children)))
+    counts = [1 + k, *map(sum, zip_longest(*fs, fillvalue=0))]
+    if paired:
+        counts[1] -= paired
     return tuple(counts) if counts[-1] else _trim(counts)
 
 
@@ -152,25 +162,37 @@ def _choose_xu(child: ConstructionResult) -> int:
     return min(zeros)
 
 
+def _members(entries) -> list[tuple]:
+    """Each entry (class, ...) once per member u of the class, as (u, ...),
+    in increasing order of u: twins interleave with the classes after them,
+    and no two entries share a u."""
+    return sorted((u, *rest) for cls, *rest in entries for u in bits(cls))
+
+
 def _scoped_node(
     g: Graph,
     mask: int,
     v: int,
     children: Mapping[int, ConstructionResult],
+    twins: list[int] | None,
     driver: str,
 ) -> ConstructionResult:
     """The matching on I(G[mask]): the extension step at v with the given
-    children.  Only the critical counts are assembled; the critical set and
-    the pairs wait in the recipe."""
+    children, {u: child node}, or {class: child node} under the generic
+    driver's ``twins``.  Only the critical counts are assembled; the
+    critical set and the pairs wait in the recipe, which holds one step per
+    u, in increasing order."""
     fs = {}
     steps = []
     for u, child in children.items():
         fs[u] = child.critical_f
         steps.append((u, child, _choose_xu(child)))
+    if twins is not None:
+        steps = _members(steps)
     # One __dict__ update, not the frozen dataclass's setattr per field.
     node = object.__new__(ConstructionResult)
     node.__dict__.update(
-        critical_f=_assemble_counts(g, mask, v, fs),
+        critical_f=_assemble_counts(g, mask, v, fs, twins),
         driver=driver,
         recipe=(g.adj, mask, v, tuple(steps)),
     )
@@ -271,47 +293,52 @@ def extend_matching(
         ):
             raise ValueError(f"sub-matching for neighbor {u} is invalid")
         checked[u] = sub[u]
-    return _scoped_node(g, full, v, checked, "extend")
+    return _scoped_node(g, full, v, checked, None, "extend")
 
 
-def _auto_selector(g: Graph):
-    """The generic driver's selection: the smallest simplicial vertex.
-
-    A vertex that fails keeps its witness, two nonadjacent neighbors in the
-    mask; while both stay in the mask, one mask test rejects it again.  The
-    test never tries a true twin (same closed neighborhood) of v or of a
-    neighbor already tried: a twin of v is adjacent to all of N(v), and a
-    twin of u fails exactly where u does."""
-    adj = g.adj
+def _twin_table(g: Graph) -> tuple[list[int], list[int]]:
+    """The generic driver's table: each vertex's closed row N[v], and its
+    class of true twins, the vertices with that closed row."""
     closed = []
     classes: dict[int, int] = {}
-    for v, row in enumerate(adj):
+    for v, row in enumerate(g.adj):
         row |= 1 << v
         closed.append(row)
         classes[row] = classes.get(row, 0) | 1 << v
-    twins = list(map(classes.__getitem__, closed))
+    return closed, list(map(classes.__getitem__, closed))
+
+
+def _auto_selector(closed: list[int], twins: list[int]):
+    """The generic driver's selection over a twin table: the smallest
+    simplicial vertex.
+
+    A vertex that fails keeps its witness, two nonadjacent neighbors in the
+    mask; while both stay in the mask, one mask test rejects it again.  A
+    rejected vertex takes its twin class in the mask with it, since a twin
+    sees the same two neighbors, and the test never tries a twin of v or of
+    a neighbor already tried: a twin of v is adjacent to all of N(v), and a
+    twin of u fails exactly where u does."""
     witness: dict[int, int] = {}
 
     def select(g: Graph, mask: int) -> int:
         left = mask
         while left:
             bit = left & -left
-            left ^= bit
             v = bit.bit_length() - 1
             pair = witness.get(v)
-            if pair is not None and mask & pair == pair:
-                continue
-            rest = adj[v] & mask & ~twins[v]
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                apart = rest & ~closed[u]
-                if apart:
-                    witness[v] = low | (apart & -apart)
-                    break
-                rest &= ~twins[u]
-            else:
-                return v
+            if pair is None or mask & pair != pair:
+                rest = closed[v] & mask & ~twins[v]
+                while rest:
+                    low = rest & -rest
+                    u = low.bit_length() - 1
+                    apart = rest & ~closed[u]
+                    if apart:
+                        witness[v] = low | (apart & -apart)
+                        break
+                    rest &= ~twins[u]
+                else:
+                    return v
+            left &= ~twins[v]
         raise UnsupportedGraphError(
             "no simplicial vertex in the induced subgraph on "
             f"{sorted(bits(mask))}",
@@ -368,14 +395,17 @@ def _grid_selector(g: Graph, spec: GridSpec):
     return select
 
 
-def _recurse(g: Graph, select, assemble, trace=None):
+def _recurse(g: Graph, select, assemble, trace=None, twins=None):
     """The memoized recursion of every route, on an explicit stack.
 
     ``select(g, mask)`` gives the vertex v of the node's extension step; the
-    children are the nonempty G - N[u] over u in N(v) & mask.
-    ``assemble(g, mask, v, {u: child node})`` builds the node.  Masks are
-    selected in the pre-order of a recursive evaluation, so a rejected
-    subgraph is the one it would report, and assembled and traced in its
+    children are the nonempty G - N[u] over u in N(v) & mask.  With the
+    generic driver's ``twins``, N(v) & mask is walked one class of true
+    twins at a time, whose members share one child, computed once and keyed
+    by the class's bitmask instead of by u.  ``assemble(g, mask, v,
+    children, twins)`` builds the node.  Masks are selected in the pre-order
+    of a recursive evaluation, so a rejected subgraph is the one it would
+    report, and assembled and traced, with one child entry per u, in its
     post-order.
     """
     adj = g.adj
@@ -386,8 +416,10 @@ def _recurse(g: Graph, select, assemble, trace=None):
         mask, v, child_masks = stack.pop()
         if child_masks is not None:
             children = {u: memo[c] for u, c in child_masks.items()}
-            node = memo[mask] = assemble(g, mask, v, children)
+            node = memo[mask] = assemble(g, mask, v, children, twins)
             if trace is not None:
+                if twins is not None:
+                    child_masks = dict(_members(child_masks.items()))
                 # Every node is an extension step; trace readers count rules.
                 trace[mask] = {
                     "rule": "extend", "v": v, "children": child_masks, "result": node
@@ -397,15 +429,15 @@ def _recurse(g: Graph, select, assemble, trace=None):
             continue
         v = select(g, mask)
         child_masks = {}
-        # N(v) & mask, lowest bit first.
+        # N(v) & mask, lowest bit first; a class takes its twins along.
         rest = adj[v] & mask
         while rest:
             low = rest & -rest
-            rest ^= low
             u = low.bit_length() - 1
-            mask_u = mask & ~(adj[u] | low)
-            if mask_u:
-                child_masks[u] = mask_u
+            cls = low if twins is None else rest & twins[u]
+            rest ^= cls
+            if mask_u := mask & ~(adj[u] | low):
+                child_masks[u if twins is None else cls] = mask_u
         stack.append((mask, v, child_masks))
         for c in reversed(child_masks.values()):
             if c not in memo:
@@ -480,12 +512,12 @@ def certify_tree(g: Graph, result: ConstructionResult) -> tuple[int, ...]:
     return result.critical_f
 
 
-def _build(g: Graph, select, driver: str, trace) -> ConstructionResult:
+def _build(g: Graph, select, driver: str, trace, twins=None) -> ConstructionResult:
     """The recursion tree of a driver's selection; the 0-vertex graph, with
     no vertex to select, gets the one node without a recipe."""
     if g.n == 0:
         return ConstructionResult((), driver)
-    return _recurse(g, select, partial(_scoped_node, driver=driver), trace)
+    return _recurse(g, select, partial(_scoped_node, driver=driver), trace, twins)
 
 
 def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionResult:
@@ -498,9 +530,11 @@ def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionR
 
 
 def build_auto(g: Graph, trace: dict | None = None) -> ConstructionResult:
-    """Generic driver: recurse on the smallest simplicial vertex at each stage."""
+    """Generic driver: recurse on the smallest simplicial vertex at each
+    stage, walking neighbors one twin class at a time."""
     _check_cap(g)
-    return _build(g, _auto_selector(g), "auto", trace)
+    closed, twins = _twin_table(g)
+    return _build(g, _auto_selector(closed, twins), "auto", trace, twins)
 
 
 def build_grid_matching(

@@ -334,6 +334,98 @@ def _node_counts(g: Graph, mask: int, rec) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def smallest_simplicial_scan(g: Graph, mask: int) -> int:
+    """The smallest vertex of ``mask`` simplicial in G[mask], testing every
+    vertex in turn and every pair of its neighbors in the mask; the generic
+    driver's error when there is none."""
+    for v in bits(mask):
+        around = list(bits(g.adj[v] & mask))
+        if all(g.adj[a] >> b & 1 for a, b in combinations(around, 2)):
+            return v
+    raise UnsupportedGraphError(
+        "no simplicial vertex in the induced subgraph on "
+        f"{sorted(bits(mask))}",
+        tuple(bits(mask)),
+    )
+
+
+def auto_recursion_reference(g: Graph) -> dict:
+    """The generic driver's recursion by plain recursion on the scan:
+    {mask: (v, [(u, G[mask] - N[u] or 0), ...])} with one entry per u of
+    N(v) & mask in increasing order, the masks visited in pre-order, so the
+    first subgraph without a simplicial vertex raises."""
+    nodes: dict = {}
+
+    def visit(mask: int) -> None:
+        if mask in nodes:
+            return
+        v = smallest_simplicial_scan(g, mask)
+        steps = [(u, mask & ~(g.adj[u] | 1 << u)) for u in bits(g.adj[v] & mask)]
+        nodes[mask] = (v, steps)
+        for _, child in steps:
+            if child:
+                visit(child)
+
+    if g.n:
+        visit(g.full_mask)
+    return nodes
+
+
+def auto_counts_reference(g: Graph, nodes: dict) -> tuple[int, ...]:
+    """The root's critical counts over ``auto_recursion_reference``'s nodes,
+    one child per u: {v} and each u with no child count in dimension 0,
+    and each child's cells lift a dimension up, less its paired x_u."""
+    memo: dict[int, list[int]] = {0: []}
+
+    def counts(mask: int) -> list[int]:
+        if mask not in memo:
+            out = [1]
+            for _, child in nodes[mask][1]:
+                lifted = [0] + counts(child) if child else [1]
+                if child:
+                    lifted[1] -= 1
+                out += [0] * (len(lifted) - len(out))
+                for d, c in enumerate(lifted):
+                    out[d] += c
+            while out and out[-1] == 0:
+                out.pop()
+            memo[mask] = out
+        return memo[mask]
+
+    return tuple(counts(g.full_mask)) if g.n else ()
+
+
+def auto_matching_reference(g: Graph, nodes: dict):
+    """(pairs, critical set, special 0-simplex) of the extension steps over
+    ``auto_recursion_reference``'s nodes, lifted one node at a time as
+    ``lifted_by_node`` states them, each x_u being its child's {v}."""
+    memo: dict = {}
+
+    def node(mask: int):
+        if mask not in memo:
+            v, steps = nodes[mask]
+            pairs, critical = [], {1 << v}
+            for u, child in steps:
+                bit_u = 1 << u
+                if not child:
+                    critical.add(bit_u)
+                    continue
+                child_pairs, child_critical = node(child)
+                xu = 1 << nodes[child][0]
+                pairs += [(a | bit_u, b | bit_u) for a, b in child_pairs if a]
+                pairs.append((bit_u, bit_u | xu))
+                critical |= {c | bit_u for c in child_critical if c != xu}
+            rest = mask & ~(g.adj[v] | 1 << v)
+            pairs += [(a, a | 1 << v) for a in independent_sets_recursive(g.adj, rest)]
+            memo[mask] = pairs, critical
+        return memo[mask]
+
+    if not g.n:
+        return (), frozenset(), None
+    pairs, critical = node(g.full_mask)
+    return tuple(pairs), frozenset(critical), 1 << nodes[g.full_mask][0]
+
+
 def verify_peo_reference(g: Graph, order) -> bool:
     """The PEO condition through ``is_clique``: the later neighbors of each
     vertex of ``order`` form a clique."""

@@ -8,7 +8,9 @@ two never share a module.  The families are fixed and seeded, and no run
 enumerates more than FACE_BUDGET faces:
 
   builds   critical_f, special_zero, driver, critical set and pairs in order
-           of every driver that accepts each graph, or its error;
+           of every driver that accepts each graph, or its error, also on
+           graphs rich in true twins (vertices with one closed
+           neighborhood);
   fields   check_field's certificate (error, cycle, critical set, f-vector)
            of valid fields, of fields with one fault, and of random
            matchings on the Hasse diagram, cyclic ones among them; classify's
@@ -18,8 +20,9 @@ enumerates more than FACE_BUDGET faces:
   cli      stdout, stderr and exit code of analyze (both modes), match
            --pairs --dot (with the DOT file), verify (valid and tampered
            matchings), compare and homology, on graph files in both forms
-           (hex rows and edge lists), and of analyze and compare on a few
-           malformed documents.
+           (hex rows and edge lists), of analyze in both modes on the
+           generic driver on the twin-rich graphs, and of analyze and
+           compare on a few malformed documents.
 
 The script prints one digest per family and side, and the first case that
 differs; it exits 1 when any family differs.  It uses the standard library
@@ -32,6 +35,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -78,6 +82,35 @@ def _graphs(ind):
         yield f"gnp-{i}", ind.Graph.from_edges(n, edges), None
 
 
+def _twin_graphs(ind):
+    """(name, graph, grid spec): labelled grids of 3x3 to 4x4 cells, which
+    are not chordal, each cell a class of true twins (cells of 3 to 12
+    vertices alternating with 3x3 cells of 1 to 5, most of these in reach
+    of the explicit route), and G(n, p) graphs with true twins added, each
+    a new vertex with an earlier vertex's closed neighborhood."""
+    rng = random.Random(3012)
+    for i in range(60):
+        m, n = (2, 2) if i % 2 else (rng.randint(2, 3), rng.randint(2, 3))
+        low, high = (1, 5) if i % 2 else (3, 12)
+        rows = [[rng.randint(low, high) for _ in range(n + 1)] for _ in range(m + 1)]
+        spec = ind.GridSpec.of(m, n, rows)
+        yield f"twin-grid-{i}", ind.grid_graph(spec), spec
+    for i in range(80):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7))
+        adj = [{v for v in range(n) if v != u and rng.random() < p} for u in range(n)]
+        for u in range(n):
+            for v in adj[u]:
+                adj[v].add(u)
+        for t in range(n, n + rng.randint(1, 8)):
+            w = rng.randrange(t)
+            adj.append(adj[w] | {w})
+            for v in adj[t]:
+                adj[v].add(t)
+        edges = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
+        yield f"twin-gnp-{i}", ind.Graph.from_edges(len(adj), edges), None
+
+
 def _k_tree(ind, n: int, k: int, rng):
     """A random k-tree: K_{k+1}, then each new vertex joins a random earlier
     (k+1)-clique less one random member."""
@@ -117,7 +150,7 @@ def _subtree_intersection(ind, n: int, rng):
 
 
 def _small(ind, g) -> bool:
-    return ind.independence_complex(g, FACE_BUDGET) is not None
+    return g.n <= 32 and ind.independence_complex(g, FACE_BUDGET) is not None
 
 
 def _result(res) -> dict:
@@ -138,7 +171,7 @@ def _attempt(fn, *args):
 
 
 def _builds(ind):
-    for name, g, spec in _graphs(ind):
+    for name, g, spec in itertools.chain(_graphs(ind), _twin_graphs(ind)):
         if not _small(ind, g):
             continue
         drivers = {"auto": ind.build_auto, "chordal": ind.build_chordal_matching}
@@ -291,6 +324,12 @@ def _cli(ind):
                     json.dumps([[_verts(a), _verts(b)] for a, b in field]), encoding="utf-8"
                 )
                 yield f"{name}/verify-{kind}", _run_cli(ind, ["verify", path, matching], tmp)
+        for name, g, _ in _twin_graphs(ind):
+            path = f"{tmp}/{name}.json"
+            Path(path).write_text(json.dumps(ind.graph_to_json(g)), encoding="utf-8")
+            for mode in ("explicit", "counts"):
+                argv = ["analyze", path, "--mode", mode, "--driver", "auto"]
+                yield f"{name}/analyze-{mode}", _run_cli(ind, argv, tmp)
         bad = {
             "not-json": "{",
             "nested": "[" * 100_000,

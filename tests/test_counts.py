@@ -12,6 +12,7 @@ from indmorse import (
     HomotopyType,
     SimplicialComplex,
     UnsupportedGraphError,
+    bits,
     build_auto,
     build_chordal_matching,
     build_grid_matching,
@@ -141,8 +142,8 @@ def test_chordal_count_policy_matches_the_recursive_reference(g):
 def test_chordal_count_policy_does_not_scan(monkeypatch):
     calls = []
 
-    def counted_selector(g):
-        select = morse._auto_selector(g)
+    def counted_selector(*table):
+        select = morse._auto_selector(*table)
 
         def wrapper(g, mask):
             calls.append("auto")
@@ -216,6 +217,27 @@ def test_recursion_line_budget_per_node(name, budget):
         select = morse._peo_selector(g)
     per_node = _lines_per_node(run, g, select)
     assert per_node <= budget
+
+
+def test_generic_count_line_budget_per_twin_class():
+    # Counted, not timed: Python lines of the generic count route, set-up
+    # included, on a grid of 4x4 cells of 12 true twins each: a few lines
+    # per vertex for the twin table, and a budget per node and per class of
+    # true twins in each N(v) & mask walked.  A walk of N(v) one u at a
+    # time, or a selection that tests a rejected vertex's twins, adds lines
+    # per vertex of the class and pushes the count past the budget.
+    g = grid_graph(GridSpec.of(3, 3, [[12] * 4] * 4))
+    assert not is_chordal(g)
+    run = partial(critical_fvector_recursive, g)
+    run()
+    closed, twins = morse._twin_table(g)
+    trace = {}
+    morse._recurse(g, morse._auto_selector(closed, twins), morse._assemble_counts, trace, twins)
+    classes = sum(
+        len({twins[u] for u in bits(g.adj[node["v"]] & mask)}) for mask, node in trace.items()
+    )
+    budget = 3 * g.n + 25 * (len(trace) + classes) + 60
+    assert _python_lines(run, budget) <= budget
 
 
 # Grids that mix 1- and 2-cells, so both case (ii) and case (iii) pairs

@@ -290,6 +290,54 @@ def test_graph_json_row_errors():
         assert str(got.value) == text, doc
 
 
+def first_malformed_row(rows):
+    """The message naming the first row that is not a nonempty str of
+    lowercase hex digits, by a character scan, or None."""
+    for v, text in enumerate(rows):
+        if type(text) is not str or not text or any(c not in "0123456789abcdef" for c in text):
+            return f"malformed row {text!r} of vertex {v}"
+    return None
+
+
+# int(text, 16) reads each of these, the non-ASCII digits among them too;
+# the loader refuses them all.
+PARSED_BY_INT = ["0x1", "+1", "1_0", " 1", "A", "\u0663", "\uff11", "1\u0663", "\uff13"]
+
+
+def test_rows_are_checked_before_they_are_parsed():
+    # K_200's rows are long; one malformed row after them, or among them,
+    # is named, whatever else is wrong with the list.
+    k200 = graph_to_json(standard_graph("complete", 200))["rows"]
+    bad_rows = PARSED_BY_INT + ["", "\ud800", 0, None, ["1"], 1.0, True, b"1"]
+    assert [int(text, 16) for text in PARSED_BY_INT] == [1, 1, 16, 1, 10, 3, 1, 19, 3]
+    for bad in bad_rows:
+        for v in (0, 150, 199):
+            rows = k200[:v] + [bad] + k200[v + 1:]
+            want = f"malformed row {bad!r} of vertex {v}"
+            assert first_malformed_row(rows) == want
+            with pytest.raises(ValueError) as got:
+                graph_from_json({"n": 200, "rows": rows})
+            assert str(got.value) == want
+    assert graph_from_json({"n": 200, "rows": k200}) == standard_graph("complete", 200)
+
+
+@given(st.lists(st.one_of(st.text("0123456789abcdefABx_+ \u0663\uff11", max_size=4), st.none())))
+@example(["1", "\u0663"])
+def test_row_check_matches_a_character_scan(rows):
+    # Rows that pass the scan are parsed; any that fail it raise the
+    # scan's message, before a row out of range is reported.
+    want = first_malformed_row(rows)
+    try:
+        graph_from_json({"n": len(rows), "rows": rows})
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    if want is not None or got is None:
+        assert got == want
+    else:
+        assert "mentions unknown vertices" in got
+
+
 @st.composite
 def graphs_of_any_density(draw):
     n = draw(st.integers(0, 80))

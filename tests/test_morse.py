@@ -22,6 +22,7 @@ from indmorse import (
     build_chordal_matching,
     build_grid_matching,
     certify_tree,
+    critical_fvector_recursive,
     critical_simplices,
     grid_graph,
     independence_complex,
@@ -37,9 +38,12 @@ from indmorse import (
     verify_matching,
 )
 from indmorse.cli import main
-from indmorse.morse import _auto_selector, _grid_selector, _recurse
+from indmorse.morse import _auto_selector, _grid_selector, _recurse, _twin_table
 
 from oracles import (
+    auto_counts_reference,
+    auto_matching_reference,
+    auto_recursion_reference,
     grid_rectangle_trace,
     induced_delete,
     is_simplicial,
@@ -324,10 +328,12 @@ def test_build_auto_examples():
 
 
 def _selections_checked_by_the_oracle(g: Graph) -> list[int]:
-    """Run the recursion on ``_auto_selector(g)`` with every selection
-    checked against the smallest vertex that the oracle's ``is_simplicial``
-    accepts on G[mask]; return the masks in the order selected."""
-    select = _auto_selector(g)
+    """Run the recursion on the generic driver's selector and twin classes
+    with every selection checked against the smallest vertex that the
+    oracle's ``is_simplicial`` accepts on G[mask]; return the masks in the
+    order selected."""
+    closed, twins = _twin_table(g)
+    select = _auto_selector(closed, twins)
     seen = []
 
     def checked(g, mask):
@@ -346,7 +352,7 @@ def _selections_checked_by_the_oracle(g: Graph) -> list[int]:
         raise got.value
 
     try:
-        _recurse(g, checked, lambda g, mask, v, children: v)
+        _recurse(g, checked, lambda g, mask, v, children, twins: v, twins=twins)
     except UnsupportedGraphError:
         pass
     return seen
@@ -385,6 +391,75 @@ def test_auto_selector_on_grids_with_twins():
         assert _selections_checked_by_the_oracle(g), spec
     # The first bad subgraph of TWO_BAD_CHILDREN is the one under neighbor 1.
     assert _selections_checked_by_the_oracle(TWO_BAD_CHILDREN)[-1] == 0b1111000
+
+
+def with_twins(g: Graph, copies) -> Graph:
+    """g with one true twin added per entry w of copies: a new vertex with
+    the closed neighborhood of vertex w (mod the vertices so far)."""
+    adj = [set(bits(row)) for row in g.adj]
+    for w in copies if g.n else ():
+        w %= len(adj)
+        adj.append(adj[w] | {w})
+        for x in adj[-1]:
+            adj[x].add(len(adj) - 1)
+    return Graph.from_edges(len(adj), [(u, v) for u, row in enumerate(adj) for v in row if u < v])
+
+
+@st.composite
+def twin_rich_graphs(draw):
+    """Grids of up to 3x3 cells of 1 to 12 vertices, each cell a class of
+    true twins, and graphs of up to 9 vertices with up to 12 true twins
+    added; the ids are shuffled, so a class need not be consecutive."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        rows = [draw(st.lists(st.integers(1, 12), min_size=n + 1, max_size=n + 1)) for _ in range(m + 1)]
+        g = grid_graph(GridSpec.of(m, n, rows))
+    else:
+        g = with_twins(draw(graphs(9)), draw(st.lists(st.integers(0, 99), max_size=12)))
+    perm = draw(st.permutations(range(g.n)))
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+# Twins of 1 and of 4 and 6 on the chordless 4-cycles: the first subgraph
+# without a simplicial vertex, under neighbor 1, takes the cycle's twins along.
+TWO_BAD_CHILDREN_TWINS = with_twins(TWO_BAD_CHILDREN, [1, 4, 6, 6])
+
+
+@settings(deadline=None, max_examples=200)
+@given(twin_rich_graphs())
+@example(TWO_BAD_CHILDREN_TWINS)
+@example(grid_graph(GridSpec.of(3, 3, [[12] * 4] * 4)))
+@example(grid_graph(GridSpec.of(2, 2, [[3, 4, 3], [4, 3, 4], [3, 4, 3]])))
+def test_generic_route_matches_the_scan_reference_on_twins(g):
+    # The selection drops a rejected vertex's twin class and the recursion
+    # takes each class's child once; the reference scans every vertex and
+    # walks every u.  Counts always, and on graphs within the explicit cap
+    # the build's pairs in order, critical set and special 0-simplex.
+    explicit = g.n <= 32
+    try:
+        nodes = auto_recursion_reference(g)
+    except UnsupportedGraphError as exc:
+        for route in (critical_fvector_recursive, build_auto)[: 1 + explicit]:
+            with pytest.raises(UnsupportedGraphError) as got:
+                route(g)
+            assert (str(got.value), got.value.vertices) == (str(exc), exc.vertices)
+        return
+    want = auto_counts_reference(g, nodes)
+    assert critical_fvector_recursive(g) == want
+    if explicit:
+        res = build_auto(g)
+        assert res.critical_f == want
+        assert (res.pairs, res.critical_set, res.special_zero) == auto_matching_reference(g, nodes)
+
+
+def test_generic_error_names_the_subgraph_with_its_twins():
+    for route in (critical_fvector_recursive, build_auto):
+        with pytest.raises(UnsupportedGraphError) as got:
+            route(TWO_BAD_CHILDREN_TWINS)
+        assert str(got.value) == (
+            "no simplicial vertex in the induced subgraph on [3, 4, 5, 6, 9, 10, 11]"
+        )
+        assert got.value.vertices == (3, 4, 5, 6, 9, 10, 11)
 
 
 def test_vertex_cap_on_builders():
