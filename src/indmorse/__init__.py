@@ -32,11 +32,7 @@ from .graph_core import (
     graph_from_json,
     graph_to_json,
 )
-from .homology import (
-    HomologyProfile,
-    homology_integer,
-    optimal_matching_bruteforce,
-)
+from .homology import HomologyProfile, homology_integer
 from .homotopy import (
     HomotopyType,
     check_domination_bound,
@@ -104,7 +100,6 @@ __all__ = [
     "is_chordal",
     "is_maximal",
     "maximum_cardinality_search",
-    "optimal_matching_bruteforce",
     "power_graph_cyclic",
     "random_chordal",
     "standard_graph",

@@ -103,19 +103,11 @@ def check_domination_bound(g: Graph, h: HomotopyType) -> bool:
 
 
 def consistency_with_homology(h: HomotopyType, profile: HomologyProfile) -> bool:
-    """Check the classified type against independently computed homology.
-
-    Unclassified types return False: there is nothing to confirm.
-    """
-    if h.kind == "unclassified":
+    """Check the classified type against independently computed homology:
+    the torsion-free reduced Betti numbers b_0 - 1, b_1, ... are the
+    wedge's sphere counts, none when collapsible, both read without
+    trailing zeros.  Unclassified types and the empty complex give False."""
+    betti = profile.betti
+    if h.kind == "unclassified" or not betti or not all(profile.torsion_free):
         return False
-    if not all(profile.torsion_free):
-        return False
-    if h.kind == "collapsible":
-        expect = (1,) + (0,) * (len(profile.betti) - 1)
-        return profile.betti == expect
-    expect_list = [h.wedge[0] + 1] + list(h.wedge[1:])
-    top = max(len(expect_list), len(profile.betti))
-    expect_list += [0] * (top - len(expect_list))
-    betti = list(profile.betti) + [0] * (top - len(profile.betti))
-    return betti == expect_list
+    return _trim([betti[0] - 1, *betti[1:]]) == _trim(list(h.wedge))

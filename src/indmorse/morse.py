@@ -17,7 +17,7 @@ isolated vertex and every vertex of a clique are simplicial, so every node
 of a recursion is one such step, and a driver is one function select(g,
 mask) -> v: the first vertex of the graph's perfect elimination ordering in
 the mask (chordal), a vertex of the corner cell (labeled grid-family
-graphs), or the smallest simplicial vertex (generic, keeping witnesses).
+graphs), or the smallest simplicial vertex (generic).
 True twins, vertices with one closed neighborhood, share their child: the
 generic driver hands its twin classes to the recursion, which walks N(v)
 one class at a time.
@@ -244,8 +244,7 @@ def _walk(node, lift: int, skip: int, pairs: list, critical: list) -> None:
         pairs.append((bit_u | lift, bit_u | xu | lift))
     while alone:
         low = alone & -alone
-        if low != skip:
-            critical.append(low | lift)
+        critical.append(low | lift)
         alone ^= low
     free = held.get("_free")
     if free is None:
@@ -312,32 +311,23 @@ def _auto_selector(closed: list[int], twins: list[int]):
     """The generic driver's selection over a twin table: the smallest
     simplicial vertex.
 
-    A vertex that fails keeps its witness, two nonadjacent neighbors in the
-    mask; while both stay in the mask, one mask test rejects it again.  A
-    rejected vertex takes its twin class in the mask with it, since a twin
-    sees the same two neighbors, and the test never tries a twin of v or of
-    a neighbor already tried: a twin of v is adjacent to all of N(v), and a
-    twin of u fails exactly where u does."""
-    witness: dict[int, int] = {}
+    A rejected vertex takes its twin class in the mask with it, since a
+    twin sees the same two nonadjacent neighbors, and the test never tries
+    a twin of v or of a neighbor already tried: a twin of v is adjacent to
+    all of N(v), and a twin of u fails exactly where u does."""
 
     def select(g: Graph, mask: int) -> int:
         left = mask
         while left:
-            bit = left & -left
-            v = bit.bit_length() - 1
-            pair = witness.get(v)
-            if pair is None or mask & pair != pair:
-                rest = closed[v] & mask & ~twins[v]
-                while rest:
-                    low = rest & -rest
-                    u = low.bit_length() - 1
-                    apart = rest & ~closed[u]
-                    if apart:
-                        witness[v] = low | (apart & -apart)
-                        break
-                    rest &= ~twins[u]
-                else:
-                    return v
+            v = (left & -left).bit_length() - 1
+            rest = closed[v] & mask & ~twins[v]
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                if rest & ~closed[u]:
+                    break
+                rest &= ~twins[u]
+            else:
+                return v
             left &= ~twins[v]
         raise UnsupportedGraphError(
             "no simplicial vertex in the induced subgraph on "

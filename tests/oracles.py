@@ -10,6 +10,7 @@ from itertools import combinations
 from math import gcd
 
 from indmorse import (
+    CapabilityError,
     Graph,
     SimplicialComplex,
     UnsupportedGraphError,
@@ -684,3 +685,84 @@ def betti_rational(x: SimplicialComplex) -> tuple[int, ...]:
     for d in range(1, top + 1):
         ranks[d] = _rank_rational(_boundary_dense(x, d))
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+
+
+BRUTEFORCE_SIMPLEX_CAP = 14
+
+
+def optimal_matching_bruteforce(x: SimplicialComplex) -> int:
+    """Exact minimum of the total critical count over all acyclic matchings.
+
+    Pairs involving the empty simplex never lower the count (their nonempty
+    member stays critical), so the search runs over the nonempty Hasse
+    diagram only: minimum = #simplices - 2 * (largest acyclic matching).
+    """
+    simplices = sorted((s for s in x.faces if s), key=lambda s: (s.bit_count(), s))
+    count = len(simplices)
+    if count > BRUTEFORCE_SIMPLEX_CAP:
+        raise CapabilityError(
+            f"brute-force optimum is limited to {BRUTEFORCE_SIMPLEX_CAP} simplices"
+        )
+    index = {s: i for i, s in enumerate(simplices)}
+    neighbors: list[list[int]] = [[] for _ in simplices]
+    for i, s in enumerate(simplices):
+        for w in range(x.n):
+            bit = 1 << w
+            if not s & bit and (s | bit) in index:
+                j = index[s | bit]
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+
+    up: dict[int, int] = {}
+
+    def layer_acyclic(layer: int) -> bool:
+        color: dict[int, int] = {}
+
+        def visit(a: int) -> bool:
+            color[a] = 1
+            b = up[a]
+            for v in bits(b):
+                a2 = b & ~(1 << v)
+                if a2 == a or a2 not in up:
+                    continue
+                st = color.get(a2)
+                if st == 1:
+                    return False
+                if st is None and not visit(a2):
+                    return False
+            color[a] = 2
+            return True
+
+        for a in [m for m in up if m.bit_count() == layer]:
+            if color.get(a) is None and not visit(a):
+                return False
+        return True
+
+    best = count
+
+    def search(pos: int, assigned: int, matched: int) -> None:
+        nonlocal best
+        remaining = count - assigned.bit_count()
+        if count - 2 * (matched + remaining // 2) >= best:
+            return
+        i = pos
+        while i < count and assigned >> i & 1:
+            i += 1
+        if i == count:
+            best = min(best, count - 2 * matched)
+            return
+        taken = assigned | 1 << i
+        for j in neighbors[i]:
+            if assigned >> j & 1:
+                continue
+            a, b = simplices[i], simplices[j]
+            if a.bit_count() > b.bit_count():
+                a, b = b, a
+            up[a] = b
+            if layer_acyclic(a.bit_count()):
+                search(i + 1, taken | 1 << j, matched + 1)
+            del up[a]
+        search(i + 1, taken, matched)
+
+    search(0, 0, 0)
+    return best

@@ -362,6 +362,11 @@ def _side(src: Path, family: str) -> list[str]:
     return run.stdout.splitlines()
 
 
+def digest(lines: list[str]) -> str:
+    """A family's digest: the first 16 hex digits of the sha256 of its lines."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", help="the other checkout's root directory")
@@ -379,7 +384,7 @@ def main() -> int:
     differs = False
     for family in args.families.split(","):
         mine, theirs = _side(here, family), _side(there, family)
-        digests = [hashlib.sha256("\n".join(s).encode()).hexdigest()[:16] for s in (mine, theirs)]
+        digests = [digest(mine), digest(theirs)]
         same = mine == theirs
         print(f"{family}: {len(mine)} cases, this {digests[0]}, other {digests[1]} "
               f"({len(theirs)} cases): {'identical' if same else 'DIFFERENT'}")

@@ -35,7 +35,6 @@ from indmorse import (
     independence_complex,
     is_chordal,
     is_maximal,
-    optimal_matching_bruteforce,
     power_graph_cyclic,
     random_chordal,
     standard_graph,
@@ -44,6 +43,7 @@ from indmorse import (
 )
 from indmorse.complexes import SimplicialComplex
 from indmorse.cli import main as cli_main
+from oracles import optimal_matching_bruteforce
 
 GRID_MAX_MN = 3
 GRID_SIZES = (1, 2)

@@ -10,12 +10,18 @@ import inspect
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from indmorse import (
     CapabilityError,
@@ -218,6 +224,35 @@ def test_analyze_empty_graph_exits_2_in_both_modes(capsys, tmp_path):
             assert err == (
                 "error: a nonempty complex has at least one critical simplex\n"
             )
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_analyze_out_of_memory_exits_2_with_one_error_line(tmp_path, p5):
+    # Mirroring K_6000's hex rows (a 4.5 MB file) needs more than a 60 MB
+    # address space, which path-5 answers within.  The limit is set in the
+    # child alone.
+    limit = 60 << 20
+    n = 6000
+    big = tmp_path / "k6000.json"
+    rows = [format((1 << n - v - 1) - 1, "x") for v in range(n)]
+    big.write_text(json.dumps({"n": n, "rows": rows}), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(inspect.getsourcefile(main)))
+    search = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": search}
+
+    def analyze_counts(path):
+        return subprocess.run(
+            [sys.executable, "-m", "indmorse", "analyze", "--mode", "counts", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    control = analyze_counts(p5)
+    assert control.returncode == 0, control.stderr
+    over = analyze_counts(str(big))
+    assert (over.returncode, over.stdout, over.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_analyze_seed_and_timings_keys(capsys, p5):

@@ -18,7 +18,6 @@ from indmorse import (
     GridSpec,
     homology_integer,
     independence_complex,
-    optimal_matching_bruteforce,
     random_chordal,
     standard_graph,
 )
@@ -28,7 +27,7 @@ from indmorse.homology import (
     _rank_and_factors,
     _smith_diagonal_dense,
 )
-from oracles import betti_rational, closure_complex
+from oracles import betti_rational, closure_complex, optimal_matching_bruteforce
 
 from test_acceptance import iter_chordal_corpus, iter_grid_specs
 from test_graph_core import all_graphs, graphs

@@ -213,11 +213,18 @@ def test_consistency_with_homology_cases():
     )
     assert not consistency_with_homology(circle, HomologyProfile((1, 2), (True, True)))
     assert not consistency_with_homology(circle, HomologyProfile((1, 1), (True, False)))
+    # A wedge given with trailing zeros names the same spheres.
+    assert consistency_with_homology(
+        HomotopyType("wedge", (0, 1, 0)), HomologyProfile((1, 1), (True, True))
+    )
 
     points = HomotopyType("wedge", (2,))
     assert consistency_with_homology(points, HomologyProfile((3,), (True,)))
     assert consistency_with_homology(points, HomologyProfile((3, 0), (True, True)))
     assert not consistency_with_homology(points, HomologyProfile((2,), (True,)))
+    # No Betti number at all (the empty complex) confirms nothing.
+    assert not consistency_with_homology(collapsible, HomologyProfile((), ()))
+    assert not consistency_with_homology(points, HomologyProfile((), ()))
 
 
 def subtree_intersection_graph(n: int, seed: int) -> Graph:

@@ -358,8 +358,9 @@ def _selections_checked_by_the_oracle(g: Graph) -> list[int]:
     return seen
 
 
-# Vertex 0 fails at the top, where 3 is selected; in the child under
-# neighbor 4 its witness 2 is gone and 0 is the smallest simplicial vertex.
+# Vertex 0 is not simplicial at the top, where 3 is selected; in the child
+# under neighbor 4 its neighbor 2 is gone and 0 is the smallest simplicial
+# vertex there.
 WITNESS_LOST = Graph.from_edges(
     7, [(0, 1), (0, 2), (1, 5), (2, 6), (3, 4), (4, 2)]
 )
@@ -371,8 +372,8 @@ WITNESS_LOST = Graph.from_edges(
 @example(TWO_BAD_CHILDREN)
 @example(standard_graph("cycle", 6))
 def test_auto_selector_is_the_smallest_simplicial_vertex_at_every_node(g):
-    # The selector keeps each rejected vertex's witness pair across nodes;
-    # it must still select what a fresh scan would.
+    # A vertex rejected at one node can be simplicial in a child; the
+    # selector must select at every node what a fresh scan would.
     if g.n:
         assert _selections_checked_by_the_oracle(g)
 
