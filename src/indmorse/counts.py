@@ -1,13 +1,13 @@
 """Critical f-vectors without materializing any complex.
 
-Two routes.  The recursive one runs the explicit construction's own
-recursion, ``morse._recurse``, with the construction's own node assembly,
+Both routes count in the reduced counts R of ``morse`` and convert to the
+f-vector at the root.  The recursive one runs the explicit construction's
+own recursion, ``morse._recurse``, with its node assembly,
 ``morse._assemble_counts``, on counts alone: no tree is kept.  It takes a
 driver's own selection: the chordal driver's on a chordal graph, the
-generic driver's on any other.  The grid one evaluates closed
-recurrences over the corner-rectangle table c[i][j][l]; the full grid is
-the rectangle (m, 0).  All arithmetic is plain Python int, so cell sizes
-may be arbitrarily large.
+generic driver's on any other.  The grid one applies the same rule to the
+table of corner rectangles; the full grid is the rectangle (m, 0).  All
+arithmetic is plain Python int, so cell sizes may be arbitrarily large.
 """
 
 from __future__ import annotations
@@ -17,28 +17,19 @@ from dataclasses import dataclass
 from .chordal import _peo
 from .generators import GridSpec
 from .graph_core import Graph
-from .morse import _assemble_counts, _auto_selector, _peo_selector, _recurse, _trim, _twin_table
+from .morse import _assemble_counts, _auto_selector, _peo_selector, _recurse, _twin_table
+from .morse import _reduced_to_f, _trim
 
 
 def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
     """Critical counts of the simplicial-vertex recursion, by pure recursion
-    on counts.
-
-    An empty vertex set gives the empty vector.  Otherwise, with v the
-    selected simplicial vertex, k universal neighbors and children G - N[u]
-    over the other neighbors u:
-
-      f_0 = 1 + k
-      f_1 = sum_u f_0(child_u) - (deg(v) - k)
-      f_t = sum_u f_{t-1}(child_u)      for t >= 2.
-
-    An isolated v gives (1,) and a v in a clique on c vertices (c,).  A
-    chordal graph takes build_chordal_matching's selection, the first vertex
-    of its one perfect elimination ordering left in the subgraph, found by a
-    bisection with no scan.  Any other graph takes build_auto's selector,
-    the smallest simplicial vertex, so the first subgraph without one is the
-    one build_auto reports, and its twin table: true twins u share G - N[u],
-    so the sums take each class's child once, times its size.  On a chordal
+    on counts: an empty vertex set gives the empty vector.  A chordal graph
+    takes build_chordal_matching's selection, the first vertex of its one
+    perfect elimination ordering left in the subgraph, found by a bisection
+    with no scan.  Any other graph takes build_auto's selector, the smallest
+    simplicial vertex, so the first subgraph without one is the one
+    build_auto reports, and its twin table: true twins u share G - N[u], so
+    the sums take each class's child once, times its size.  On a chordal
     graph the construction is perfect, so every simplicial choice gives the
     Betti numbers and both agree.
 
@@ -48,9 +39,11 @@ def critical_fvector_recursive(g: Graph) -> tuple[int, ...]:
     if g.n == 0:
         return ()
     if _peo(g) is not None:
-        return _recurse(g, _peo_selector(g), _assemble_counts)
-    closed, twins = _twin_table(g)
-    return _recurse(g, _auto_selector(closed, twins), _assemble_counts, twins=twins)
+        r = _recurse(g, _peo_selector(g), _assemble_counts)
+    else:
+        closed, twins = _twin_table(g)
+        r = _recurse(g, _auto_selector(closed, twins), _assemble_counts, twins=twins)
+    return _reduced_to_f(r)
 
 
 @dataclass(frozen=True)
@@ -74,37 +67,31 @@ class GridCountTable:
 
 
 def _rectangle_table(spec: GridSpec) -> list[list[list[int]]]:
-    """Critical counts of every corner rectangle (i, j), 0 <= i <= m and
-    0 <= j <= n, as table[i][j], filled bottom-up; table[m][0] is the whole
-    grid.
-
-    Zero-dimensional counts: column sums when i = 0, row sums when j = n,
-    and 1 + |V(0,j)| + |V(i,n)| otherwise.  Higher counts combine child
-    rectangles, discounting the chosen vertex's own cell and, at l = 1, the
-    paired critical 0-simplex of each child.
-    """
+    """R of every corner rectangle (i, j), 0 <= i <= m and 0 <= j <= n, as
+    table[i + 1][j], of min(i, n - j) + 2 counts; row 0 and column n + 1
+    are the empty rectangle, R = (1,).  By morse's rule with v in the corner
+    cell, R(i, j) is t times the sum of R(r - 1, j + 1) per vertex of the
+    cells (r, j), r <= i, and of R(i - 1, s + 1) per vertex of the cells
+    (i, s), s > j, v excepted: running sums down column j and along row i,
+    which R(i - 1, j + 1) enters both."""
     m, n, sizes = spec.m, spec.n, spec.sizes
-    table: list[list[list[int]]] = [[[]] * (n + 1) for _ in range(m + 1)]
+    width = min(m, n) + 2
+    table: list[list[list[int]]] = [[[1]] * (n + 2) for _ in range(m + 2)]
+    # rows[i]: the sum of sizes[i][s] * R(i - 1, s + 1) over s > j.
+    rows = [[0] * width for _ in range(m + 1)]
     for j in range(n, -1, -1):
+        # The sum of sizes[r][j] * R(r - 1, j + 1) over r <= i.
+        col = [0] * width
         for i in range(m + 1):
-            d = min(i, n - j)
-            row = table[i][j] = [0] * (d + 1)
-            if i == 0:
-                row[0] = sum(sizes[0][j:])
-            elif j == n:
-                row[0] = sum(size[n] for size in sizes[: i + 1])
-            else:
-                row[0] = 1 + sizes[0][j] + sizes[i][n]
-            for l in range(1, d + 1):
-                dl = 1 if l == 1 else 0
-                acc = 0
-                for r in range(l, i + 1):
-                    dr = 1 if r == i else 0
-                    acc += (sizes[r][j] - dr) * (table[r - 1][j + 1][l - 1] - dl)
-                below = table[i - 1]
-                for s in range(j + 1, n - l + 1):
-                    acc += sizes[i][s] * (below[s + 1][l - 1] - dl)
-                row[l] = acc
+            up = table[i][j + 1]
+            size = sizes[i][j]
+            along = rows[i]
+            row = table[i + 1][j] = [0] * (min(i, n - j) + 2)
+            for l, x in enumerate(up):
+                col[l] += size * x
+                # v is not its own neighbor.
+                row[l + 1] = col[l] + along[l] - x
+                along[l] += size * x
     return table
 
 
@@ -116,16 +103,12 @@ def grid_count_table(spec: GridSpec) -> GridCountTable:
     if m < 1 or n < 1:
         raise ValueError("the rectangle table needs m >= 1 and n >= 1")
     table = _rectangle_table(spec)
-    return GridCountTable(
-        m,
-        n,
-        {(i, j): tuple(table[i][j]) for j in range(n, 0, -1) for i in range(m)},
-        _trim(table[m][0]),
-    )
+    entries = {(i, j): _reduced_to_f(table[i + 1][j]) for j in range(n, 0, -1) for i in range(m)}
+    return GridCountTable(m, n, entries, _reduced_to_f(_trim(table[m + 1][0])))
 
 
 def grid_critical_fvector(spec: GridSpec) -> tuple[int, ...]:
     """Critical f-vector of the full grid graph via the closed recurrences:
     the rectangle table's (m, 0) entry.  Degenerate grids (m = 0 or n = 0)
     are complete graphs, contributing a single count."""
-    return _trim(_rectangle_table(spec)[spec.m][0])
+    return _reduced_to_f(_trim(_rectangle_table(spec)[spec.m + 1][0]))

@@ -19,7 +19,7 @@ from .complexes import SimplicialComplex, _non_maximal
 from .graph_core import Graph, domination_number
 from .homology import HomologyProfile
 from .matching import check_field
-from .morse import ConstructionResult, _trim, certify_tree
+from .morse import ConstructionResult, _f_to_reduced, _trim, certify_tree
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,9 @@ class HomotopyType:
     """Outcome of the classification.
 
     kind is "collapsible", "wedge", or "unclassified".  For a wedge the
-    counts tuple lists the number of spheres per dimension starting at 0;
-    reason explains an unclassified verdict.
+    counts tuple lists the number of spheres per dimension starting at 0,
+    kept without trailing zeros, so one type has one value; only a wedge
+    has spheres.  reason explains an unclassified verdict.
     """
 
     kind: str
@@ -38,21 +39,20 @@ class HomotopyType:
     def __post_init__(self):
         if self.kind not in ("collapsible", "wedge", "unclassified"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "wedge" and not any(self.wedge):
-            raise ValueError("a wedge needs at least one sphere")
+        object.__setattr__(self, "wedge", _trim(list(self.wedge)))
+        if (self.kind == "wedge") != bool(self.wedge):
+            raise ValueError("a wedge has at least one sphere, other kinds none")
 
 
 def homotopy_from_counts(fvec: tuple[int, ...]) -> HomotopyType:
     """The type of a complex whose acyclic matching has critical f-vector
     fvec and only maximal critical simplices, but for at most one 0-simplex:
-    collapsible for a single critical cell, else one sphere per critical
-    cell with one 0-simplex taken as the base point."""
-    total = sum(fvec)
-    if total == 0:
+    one sphere per count of R past R_-1, that is per critical cell with one
+    0-simplex taken as the base point, and collapsible when there is none."""
+    if not any(fvec):
         raise ValueError("a nonempty complex has at least one critical simplex")
-    if total == 1:
-        return HomotopyType("collapsible")
-    return HomotopyType("wedge", _trim([fvec[0] - 1] + list(fvec[1:])))
+    wedge = _f_to_reduced(fvec)[1:]
+    return HomotopyType("wedge", wedge) if wedge else HomotopyType("collapsible")
 
 
 _UNCLASSIFIED = HomotopyType(
@@ -104,10 +104,10 @@ def check_domination_bound(g: Graph, h: HomotopyType) -> bool:
 
 def consistency_with_homology(h: HomotopyType, profile: HomologyProfile) -> bool:
     """Check the classified type against independently computed homology:
-    the torsion-free reduced Betti numbers b_0 - 1, b_1, ... are the
-    wedge's sphere counts, none when collapsible, both read without
-    trailing zeros.  Unclassified types and the empty complex give False."""
+    the torsion-free reduced Betti numbers, trimmed like R, are the wedge's
+    sphere counts, none when collapsible.  Unclassified types and the empty
+    complex give False."""
     betti = profile.betti
     if h.kind == "unclassified" or not betti or not all(profile.torsion_free):
         return False
-    return _trim([betti[0] - 1, *betti[1:]]) == _trim(list(h.wedge))
+    return _f_to_reduced(betti)[1:] == h.wedge

@@ -22,9 +22,10 @@ True twins, vertices with one closed neighborhood, share their child: the
 generic driver hands its twin classes to the recursion, which walks N(v)
 one class at a time.
 
-A node of the recursion tree stores its critical counts, assembled from its
-children's by the same rule the count route uses (``_assemble_counts``), and
-its recipe: v, its mask and, per child, (u, child node, x_u).  Its special
+A node of the recursion tree stores its reduced counts R = (R_-1, f_0 - 1,
+f_1, ...), R(G) = t * sum over u in N(v) of R(G - N[u]) as the count route
+assembles them (``_assemble_counts``), and its recipe: v, its mask and, per
+child, (u, child node, x_u).  Its special
 0-simplex {v} is read off the recipe, and its critical set and pairs come
 from one walk of its recipe tree on first read, which carries the lift of
 each node reached instead of lifting a tuple and a frozenset per inner
@@ -66,17 +67,17 @@ class ConstructionResult:
     """An acyclic matching on I(G) together with its critical data: a node
     of the recursion tree.
 
-    A node stores what the build computes, its ``critical_f`` and its
+    A node stores what the build computes, its ``reduced`` counts R and its
     ``recipe`` (adj, mask, v, ((u, child, x_u), ...)), and derives the rest
-    on first read: ``special_zero`` is {v}, the one critical 0-simplex that
-    may fail to be maximal, and ``pairs`` and ``critical_set`` come from one
-    walk of the recipe tree (``_derive``).  With no recipe they are None, ()
-    and the empty set: the 0-vertex graph's node.  A matching given whole
-    (``given``) holds all three and has no recipe.  A result equals only
-    itself, so no comparison or hash derives anything.
+    on first read: ``critical_f``, ``special_zero`` is {v}, the one critical
+    0-simplex that may fail to be maximal, and ``pairs`` and ``critical_set``
+    come from one walk of the recipe tree (``_derive``).  With no recipe they
+    are None, () and the empty set: the 0-vertex graph's node.  A matching
+    given whole (``given``) holds all four and has no recipe.  A result
+    equals only itself, so no comparison or hash derives anything.
     """
 
-    critical_f: tuple[int, ...]
+    reduced: tuple[int, ...]
     driver: str
     recipe: tuple | None = field(default=None, repr=False)
 
@@ -84,13 +85,18 @@ class ConstructionResult:
     def given(cls, pairs, critical_set, critical_f, special_zero, driver):
         """A result with no recipe holding a whole matching and its critical
         data, such as a sub-matching for extend_matching."""
-        node = cls(critical_f, driver)
+        node = cls(_f_to_reduced(critical_f), driver)
         node.__dict__.update(
             pairs=tuple(pairs),
             critical_set=frozenset(critical_set),
+            critical_f=tuple(critical_f),
             special_zero=special_zero,
         )
         return node
+
+    @cached_property
+    def critical_f(self) -> tuple[int, ...]:
+        return _reduced_to_f(self.reduced)
 
     @cached_property
     def special_zero(self) -> int | None:
@@ -118,33 +124,40 @@ def _trim(counts: list[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _reduced_to_f(r) -> tuple[int, ...]:
+    """The f-vector of R, one entry shorter, so an untrimmed R gives an
+    untrimmed f; () is a collapsible complex's R, (1,) the 0-vertex graph's."""
+    if len(r) > 1:
+        return (r[1] + 1, *r[2:])
+    return () if r else (1,)
+
+
+def _f_to_reduced(f) -> tuple[int, ...]:
+    """The reduced counts R of a critical f-vector, or of Betti numbers."""
+    return _trim([0, f[0] - 1, *f[1:]]) if f else (1,)
+
+
 def _assemble_counts(g: Graph, mask: int, v: int, children, twins=None) -> tuple[int, ...]:
-    """The critical counts of the node at v from its children's, {u:
-    critical_f of G[mask] - N[u]}: {v} and each {u} with no child are
-    0-simplices, each child's d-cells lift to (d+1)-cells, and one lifted
-    0-simplex per child, x_u + u, is paired.  Under the generic driver's
-    ``twins`` a child is keyed by its class instead, the bitmask of the true
-    twins in N(v) & mask that share it, and counts once per member."""
+    """R of the node at v from its children's, {u: R of G[mask] - N[u]}: t
+    times their sum over u in N(v) & mask, where a u with no child adds
+    R(empty) = (1,).  Under the generic driver's ``twins`` a child is keyed
+    by its class instead, the bitmask of the true twins in N(v) & mask that
+    share it, and counts once per member."""
     paired = len(children) if twins is None else sum(map(int.bit_count, children))
     # A universal neighbor u of v leaves G - N[u] empty, so it has no child.
     k = (g.adj[v] & mask).bit_count() - paired
-    # A path has one child per node and f-vectors of length up to n/3, so a
-    # node is built by sequence operations in C: a shift, or column sums.
-    if paired == 1:
-        (f,) = children.values()
-        # A child with one critical cell, its x_u, leaves none to lift.
-        if f == (1,):
-            return (1 + k,)
-        counts = (1 + k, f[0] - 1) + f[1:]
-        return counts if counts[-1] else _trim(list(counts))
-    fs = children.values()
-    if paired != len(fs):
+    # A path has one child per node and R of length up to n/3, so a node is
+    # built in C: a shift, or column sums past the children's R_-1, all 0.
+    # Each R ends in a positive count, so only (0, 0) needs trimming.
+    if paired < 2:
+        (r,) = children.values() or ((),)
+        return (0, k) + r[1:] if r or k else ()
+    rs = children.values()
+    if paired != len(rs):
         # A class's child, once per member.
-        fs = chain.from_iterable(map(repeat, fs, map(int.bit_count, children)))
-    counts = [1 + k, *map(sum, zip_longest(*fs, fillvalue=0))]
-    if paired:
-        counts[1] -= paired
-    return tuple(counts) if counts[-1] else _trim(counts)
+        rs = chain.from_iterable(map(repeat, rs, map(int.bit_count, children)))
+    counts = (0, k, *islice(map(sum, zip_longest(*rs, fillvalue=0)), 1, None))
+    return counts if counts[-1] else ()
 
 
 def _choose_xu(child: ConstructionResult) -> int:
@@ -179,20 +192,20 @@ def _scoped_node(
 ) -> ConstructionResult:
     """The matching on I(G[mask]): the extension step at v with the given
     children, {u: child node}, or {class: child node} under the generic
-    driver's ``twins``.  Only the critical counts are assembled; the
+    driver's ``twins``.  Only the reduced counts are assembled; the
     critical set and the pairs wait in the recipe, which holds one step per
     u, in increasing order."""
-    fs = {}
+    rs = {}
     steps = []
     for u, child in children.items():
-        fs[u] = child.critical_f
+        rs[u] = child.reduced
         steps.append((u, child, _choose_xu(child)))
     if twins is not None:
         steps = _members(steps)
     # One __dict__ update, not the frozen dataclass's setattr per field.
     node = object.__new__(ConstructionResult)
     node.__dict__.update(
-        critical_f=_assemble_counts(g, mask, v, fs, twins),
+        reduced=_assemble_counts(g, mask, v, rs, twins),
         driver=driver,
         recipe=(g.adj, mask, v, tuple(steps)),
     )
@@ -441,9 +454,9 @@ def _node_fault(g: Graph, mask: int, node: ConstructionResult) -> str | None:
     has no recipe, and no critical cell.  A recipe (adj, mask, v, steps) is
     this node's; v is in the mask and simplicial there; the steps are the u
     in N(v) & mask with mask - N[u] nonempty, in order; each x_u is a
-    0-simplex of its child's mask and the child's special 0-simplex; and
-    critical_f is the assembly of the children's.  The special 0-simplex
-    {v} and the critical set are derived from the recipe, so they hold."""
+    0-simplex of its child's mask and the child's special 0-simplex; and R
+    is the assembly of the children's.  The special 0-simplex {v} and the
+    critical set are derived from the recipe, so they hold."""
     adj = g.adj
     if node.recipe is None:
         if mask or node.critical_f or node.critical_set:
@@ -466,8 +479,8 @@ def _node_fault(g: Graph, mask: int, node: ConstructionResult) -> str | None:
             return f"x_{u} is not a critical 0-simplex of child {u}"
         if child.special_zero != xu:
             return f"x_{u} is not the special 0-simplex of child {u}"
-    child_fs = {u: child.critical_f for u, child, _ in steps}
-    if node.critical_f != _assemble_counts(g, mask, v, child_fs):
+    child_rs = {u: child.reduced for u, child, _ in steps}
+    if node.reduced != _assemble_counts(g, mask, v, child_rs):
         return "the critical counts are not the extension's"
     return None
 
@@ -503,11 +516,13 @@ def certify_tree(g: Graph, result: ConstructionResult) -> tuple[int, ...]:
 
 
 def _build(g: Graph, select, driver: str, trace, twins=None) -> ConstructionResult:
-    """The recursion tree of a driver's selection; the 0-vertex graph, with
-    no vertex to select, gets the one node without a recipe."""
+    """The recursion tree of a driver's selection, its root's f-vector read
+    at once; the 0-vertex graph gets the one node without a recipe."""
     if g.n == 0:
-        return ConstructionResult((), driver)
-    return _recurse(g, select, partial(_scoped_node, driver=driver), trace, twins)
+        return ConstructionResult((1,), driver)
+    root = _recurse(g, select, partial(_scoped_node, driver=driver), trace, twins)
+    root.__dict__["critical_f"] = _reduced_to_f(root.reduced)
+    return root
 
 
 def build_chordal_matching(g: Graph, trace: dict | None = None) -> ConstructionResult:

@@ -226,6 +226,20 @@ def test_analyze_empty_graph_exits_2_in_both_modes(capsys, tmp_path):
             )
 
 
+def _limited_cli(argv, limit: int) -> subprocess.CompletedProcess:
+    """``python -m indmorse *argv`` in a child whose address space alone is
+    limited to ``limit`` bytes, with this checkout's package on its path."""
+    src = os.path.dirname(os.path.dirname(inspect.getsourcefile(main)))
+    search = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "indmorse", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": search},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
 def test_analyze_out_of_memory_exits_2_with_one_error_line(tmp_path, p5):
     # Mirroring K_6000's hex rows (a 4.5 MB file) needs more than a 60 MB
@@ -236,23 +250,52 @@ def test_analyze_out_of_memory_exits_2_with_one_error_line(tmp_path, p5):
     big = tmp_path / "k6000.json"
     rows = [format((1 << n - v - 1) - 1, "x") for v in range(n)]
     big.write_text(json.dumps({"n": n, "rows": rows}), encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(inspect.getsourcefile(main)))
-    search = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": search}
 
     def analyze_counts(path):
-        return subprocess.run(
-            [sys.executable, "-m", "indmorse", "analyze", "--mode", "counts", path],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        return _limited_cli(["analyze", "--mode", "counts", path], limit)
 
     control = analyze_counts(p5)
     assert control.returncode == 0, control.stderr
     over = analyze_counts(str(big))
     assert (over.returncode, over.stdout, over.stderr) == (2, "", "error: out of memory\n")
+
+
+# Every reader of a graph file, each run on a 32-vertex graph at the
+# explicit cap whose complex is far past every face cap: 2^32 faces for
+# empty-32, about 5.7M for path-32.
+LIMITED_READERS = {
+    "analyze": ["analyze"],
+    "analyze-oracle": ["analyze", "--oracle"],
+    "analyze-gamma": ["analyze", "--gamma"],
+    "analyze-counts": ["analyze", "--mode", "counts"],
+    "match-pairs": ["match", "--pairs"],
+    "match-dot": ["match", "--dot", "{dot}"],
+    "compare": ["compare"],
+    "homology": ["homology"],
+    "verify": ["verify", "{matching}"],
+}
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("kind", ["empty", "path"])
+@pytest.mark.parametrize("reader", list(LIMITED_READERS))
+def test_readers_answer_within_a_gigabyte(tmp_path, kind, reader):
+    # Under a 1 GB address space, set in the child alone, each reader exits
+    # 0-3 with a JSON report or with one error line: never a traceback.
+    graph = tmp_path / f"{kind}-32.json"
+    graph.write_text(json.dumps(graph_to_json(standard_graph(kind, 32))), encoding="utf-8")
+    matching = tmp_path / "empty-matching.json"
+    matching.write_text("[]", encoding="utf-8")
+    command, *rest = LIMITED_READERS[reader]
+    rest = [a.format(dot=tmp_path / "hasse.dot", matching=matching) for a in rest]
+    done = _limited_cli([command, str(graph), *rest], 1 << 30)
+    assert done.returncode in (0, 1, 2, 3), done.stderr
+    if done.returncode in (0, 1):
+        assert done.stderr == ""
+        json.loads(done.stdout)
+    else:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_analyze_seed_and_timings_keys(capsys, p5):

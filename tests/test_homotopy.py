@@ -61,6 +61,16 @@ def test_homotopy_type_validation():
     assert HomotopyType("collapsible").wedge == ()
 
 
+def test_homotopy_type_is_canonical():
+    # One type, one value: trailing zeros go, and only a wedge has spheres.
+    assert HomotopyType("wedge", (0, 1, 0)) == HomotopyType("wedge", (0, 1))
+    assert HomotopyType("wedge", [2, 0, 0]).wedge == (2,)
+    assert HomotopyType("collapsible", (0, 0)) == HomotopyType("collapsible")
+    for kind in ("collapsible", "unclassified"):
+        with pytest.raises(ValueError):
+            HomotopyType(kind, (3,))
+
+
 def classify_graph(g):
     res = build_chordal_matching(g)
     return classify(independence_complex(g), res)

@@ -183,10 +183,11 @@ def _called_names(tree: ast.AST):
 
 
 def test_the_count_rule_lives_once_in_morse():
-    # A node's critical counts follow from its children's by one rule,
+    # A node's reduced counts R follow from its children's by one rule,
     # morse._assemble_counts, which the builds, the certificate and the count
-    # route share; only check_field histograms a critical set.
-    from indmorse import counts, morse
+    # route share, and R and the f-vector convert by one pair of functions,
+    # morse's; only check_field histograms a critical set.
+    from indmorse import counts, homotopy, morse
 
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -199,7 +200,10 @@ def test_the_count_rule_lives_once_in_morse():
             }
             assert not defined & {"_assemble_counts", "_trim"}, path.name
             assert not [name for name in defined if "assemble" in name], path.name
+            assert not [name for name in defined if "reduced" in name], path.name
     assert counts._assemble_counts is morse._assemble_counts
+    assert counts._reduced_to_f is morse._reduced_to_f
+    assert homotopy._f_to_reduced is morse._f_to_reduced
 
 
 def test_the_homology_oracle_reads_no_gate_cache():

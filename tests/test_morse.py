@@ -45,6 +45,7 @@ from oracles import (
     auto_matching_reference,
     auto_recursion_reference,
     grid_rectangle_trace,
+    independent_sets_recursive,
     induced_delete,
     is_simplicial,
     lifted_by_node,
@@ -596,11 +597,11 @@ def test_repr_reads_stored_fields_only():
     # A failed `assert res == ...` prints both sides; printing a cone of
     # 38,880 faces must not derive its pairs.
     res = build_auto(random_chordal(18, 0.35, 3))
-    assert repr(res) == "ConstructionResult(critical_f=(1,), driver='auto')"
+    assert repr(res) == "ConstructionResult(reduced=(), driver='auto')"
     assert "pairs" not in res.__dict__ and "critical_set" not in res.__dict__
     # The 0-vertex graph's node has no recipe and derives an empty matching.
     empty = build_chordal_matching(standard_graph("empty", 0))
-    assert repr(empty) == "ConstructionResult(critical_f=(), driver='chordal')"
+    assert repr(empty) == "ConstructionResult(reduced=(1,), driver='chordal')"
     assert (empty.pairs, empty.critical_set, empty.special_zero) == ((), frozenset(), None)
 
 
@@ -821,6 +822,53 @@ def _restep(node, u, **step):
     return _recipe(node, steps=listed)
 
 
+def _at_minus_one(r) -> int:
+    """R(-1): the alternating sum of R, whose index is dimension + 1."""
+    return sum(c if i % 2 == 0 else -c for i, c in enumerate(r))
+
+
+def _independent_sets_at_minus_one(g: Graph, mask: int) -> int:
+    return sum((-1) ** s.bit_count() for s in independent_sets_recursive(g.adj, mask))
+
+
+def _check_at_minus_one(g: Graph, trace: dict, reduced_of) -> None:
+    for mask, node in trace.items():
+        got = _at_minus_one(reduced_of(node["result"]))
+        assert got == _independent_sets_at_minus_one(g, mask), (g.adj, sorted(bits(mask)))
+
+
+def test_reduced_counts_at_minus_one_count_the_independent_sets():
+    # An acyclic matching pairs cells of adjacent dimensions, so R(-1), the
+    # alternating count of the critical cells with the empty one, is that of
+    # all independent sets of G[mask], the empty one included.  The oracle
+    # enumerates them, so this checks every node's R apart from the rule
+    # that assembles it: each node of the three drivers' traced builds and
+    # of the count route.
+    chordal = [random_chordal(1 + seed % 14, (seed % 5) / 4, seed) for seed in range(300)]
+    grids = [*GRID_SPECS, GridSpec.of(3, 3, [[1, 2, 1, 2], [2, 1, 2, 1]] * 2)]
+    assert not is_chordal(grid_graph(grids[-1]))
+    for g in chordal + [grid_graph(spec) for spec in grids]:
+        for build in (build_auto, build_chordal_matching)[: 1 + is_chordal(g)]:
+            trace = {}
+            build(g, trace=trace)
+            _check_at_minus_one(g, trace, lambda node: node.reduced)
+        trace = {}
+        if is_chordal(g):
+            _recurse(g, morse._peo_selector(g), morse._assemble_counts, trace)
+        else:
+            twins = _twin_table(g)
+            _recurse(g, _auto_selector(*twins), morse._assemble_counts, trace, twins[1])
+        _check_at_minus_one(g, trace, lambda r: r)
+    for spec in grids:
+        g = grid_graph(spec)
+        trace = {}
+        build_grid_matching(g, spec, trace=trace)
+        _check_at_minus_one(g, trace, lambda node: node.reduced)
+    empty = standard_graph("empty", 0)
+    assert _at_minus_one(build_auto(empty).reduced) == 1
+    assert _independent_sets_at_minus_one(empty, 0) == 1
+
+
 def test_certificate_accepts_the_builds():
     for g in (P5, EDGE_AND_P5, GRID11, standard_graph("complete", 3)):
         res = build_auto(g)
@@ -832,7 +880,7 @@ def test_certificate_accepts_the_builds():
 def test_certificate_checks_the_root_critical_f():
     res = build_auto(P5)
     with pytest.raises(ValueError, match="the critical counts are not the extension's"):
-        certify_tree(P5, dataclasses.replace(res, critical_f=(2, 1)))
+        certify_tree(P5, dataclasses.replace(res, reduced=(0, 1, 1)))
 
 
 def test_certificate_checks_each_node_once(monkeypatch):
@@ -935,15 +983,16 @@ def _tampered_trees():
         k3, ConstructionResult.given((), {1, 2, 4}, (3,), None, "auto"),
         k3.full_mask, no_recipe, id="recipe-less-clique")
     yield pytest.param(
-        k3, dataclasses.replace(build_auto(k3), critical_f=(2,)), k3.full_mask,
+        k3, dataclasses.replace(build_auto(k3), reduced=(0, 1)), k3.full_mask,
         "the critical counts are not the extension's", id="clique-counts-not-its-size")
-    # The child {3, ..., 6} of P7 has critical_f (1,); the root's (1, 0, 1)
-    # is the assembly of (1, 1), so only the child's counts are wrong.
+    # The child {3, ..., 6} of P7 has critical_f (1,), reduced (); the
+    # root's reduced (0, 0, 0, 1), critical_f (1, 0, 1), is the assembly of
+    # (0, 0, 1), critical_f (1, 1), so only the child's counts are wrong.
     yield pytest.param(
         P7,
         dataclasses.replace(
-            _restep(p7, 1, child=dataclasses.replace(p7_child, critical_f=(1, 1))),
-            critical_f=(1, 0, 1),
+            _restep(p7, 1, child=dataclasses.replace(p7_child, reduced=(0, 0, 1))),
+            reduced=(0, 0, 0, 1),
         ),
         0b1111000, "the critical counts are not the extension's",
         id="inner-critical-f")

@@ -1,11 +1,12 @@
-"""The builds and fields families of tests/sweep.py, pinned by digest.
+"""The three families of tests/sweep.py, pinned by digest.
 
 The sweep records every case's whole output, so a digest that moves means
-a build, a field certificate or a classification changed.  The digests were
-recorded on Python 3.11 only, and the families draw from the random module,
-whose streams Python does not promise across versions, so the pins skip on
-other versions.  The slower cli family stays a manual
-``python tests/sweep.py --against OTHER_CHECKOUT`` run."""
+a build, a field certificate, a classification or a CLI output changed.
+The digests were recorded on Python 3.11 only, and the families draw from
+the random module, whose streams Python does not promise across versions,
+so the pins skip on other versions.  The cli family takes about 10 s; a
+digest that moves is traced to its case by
+``python tests/sweep.py --against OTHER_CHECKOUT``."""
 
 import sys
 from pathlib import Path
@@ -23,7 +24,11 @@ SRC = Path(indmorse.__file__).resolve().parents[1]
 )
 @pytest.mark.parametrize(
     "family, pinned",
-    [("builds", "0528b531c42dec9a"), ("fields", "21c8279c205ace4b")],
+    [
+        ("builds", "0528b531c42dec9a"),
+        ("fields", "21c8279c205ace4b"),
+        ("cli", "c55914b8553f6f8c"),
+    ],
 )
 def test_sweep_family_digest_is_pinned(family, pinned):
     assert sweep.digest(sweep._side(SRC, family)) == pinned
